@@ -392,6 +392,101 @@ class TestDdPvalue:
 
 
 # ---------------------------------------------------------------------------
+# pinned posterior counts and dd p-values
+#
+# Exact outputs recorded from the whole-matrix evaluator that preceded the
+# chunked one.  Any change to the weights drawn, their order, or the CDF
+# arithmetic moves at least one of these counts.
+
+
+def _shifted_pair(n, h, seed):
+    rng = np.random.default_rng(seed)
+    return sd._draw_shifted_uniform(n, h, rng), rng.uniform(0.0, 1.0, n)
+
+
+PINNED_SAMPLES = {
+    "ties": ([0.3, 0.5, 0.5, 0.7, 0.7, 0.7, 0.9, 1.0],
+             [0.1, 0.3, 0.3, 0.5, 0.5, 0.6, 0.9, 0.9]),
+    "n1": ([0.95], [0.3, 0.97]),
+    "n1_opp": ([0.3, 0.97], [0.95]),
+    "n2": ([0.62, 0.97], [0.35, 0.9]),
+    "sep_high": ([1.2, 1.5, 1.7], [0.1, 0.4, 0.6]),
+    "sep_low": ([0.01, 0.02, 0.03], [0.5, 0.6]),
+}
+for _n in (50, 300):
+    for _h in (0.0, 0.9):
+        PINNED_SAMPLES[f"fd{_n}_h{_h}"] = fixed_design_sample(_n, _h)
+        PINNED_SAMPLES[f"su{_n}_h{_h}"] = _shifted_pair(_n, _h, _n + int(10 * _h))
+
+# Columns follow PINNED_ORDER.  The n = 300 samples take 15000 draws, which
+# span two _BLOCK_ELEMS blocks one-sample (300-point grid) and three
+# two-sample (600-point grid); the others take 2000.
+PINNED_ORDER = [(two, variant, tol) for two in (False, True)
+                for variant in (RUBIN, BANKS) for tol in (0.0, 0.05)]
+PINNED_SD1_COUNTS = {
+    "ties": (435, 746, 990, 1302, 655, 1121, 1062, 1285),
+    "n1": (0, 2000, 0, 2000, 0, 105, 0, 121),
+    "n1_opp": (0, 728, 0, 1159, 0, 92, 0, 195),
+    "n2": (0, 1360, 0, 1791, 929, 1146, 1417, 1498),
+    "sep_high": (1914, 2000, 2000, 2000, 1633, 2000, 2000, 2000),
+    "sep_low": (0, 0, 0, 0, 0, 0, 0, 0),
+    "fd50_h0.0": (0, 431, 0, 673, 0, 294, 0, 440),
+    "su50_h0.0": (0, 212, 0, 353, 0, 265, 0, 322),
+    "fd50_h0.9": (1194, 1932, 1748, 1950, 762, 1651, 1362, 1731),
+    "su50_h0.9": (330, 1028, 551, 1169, 415, 1125, 752, 1206),
+    "fd300_h0.0": (0, 11775, 0, 12162, 0, 8208, 0, 8679),
+    "su300_h0.0": (0, 6429, 0, 6858, 88, 11836, 439, 12097),
+    "fd300_h0.9": (7393, 14970, 12497, 14979, 4754, 14409, 9136, 14493),
+    "su300_h0.9": (5199, 14921, 9410, 14947, 3050, 14291, 6079, 14378),
+}
+
+# (sample, n_boot, rng seed, p-value)
+PINNED_DD = [
+    ("fd60_h0.9", 99, 1, 0.03),
+    ("fd100_h0.9", 999, 2, 0.019),
+    ("su300_h0.9", 499, 3, 0.12),
+    ("ties", 199, 4, 1.0),
+    ("fd50_h0.9", 999, 5, 0.032),
+]
+PINNED_DD_SAMPLES = dict(PINNED_SAMPLES,
+                         **{"fd60_h0.9": fixed_design_sample(60, 0.9),
+                            "fd100_h0.9": fixed_design_sample(100, 0.9)})
+
+
+def _pinned_draws(name):
+    return 15000 if "300" in name else 2000
+
+
+def _pinned_estimates(name):
+    x, y = PINNED_SAMPLES[name]
+    draws = _pinned_draws(name)
+    out = []
+    for two, variant, tol in PINNED_ORDER:
+        cfg = SdConfig(draws=draws, bootstrap=variant, tol=tol)
+        est = posterior_prob_sd1(x, y if two else UNIFORM01, cfg=cfg,
+                                 rng=np.random.default_rng(7)).estimate
+        out.append(est)
+    return tuple(out)
+
+
+def _pinned_dd_pvalues():
+    return [dd_pvalue_nonsd1(*PINNED_DD_SAMPLES[name], n_boot=n_boot,
+                             rng=np.random.default_rng(seed))
+            for name, n_boot, seed, _ in PINNED_DD]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", list(PINNED_SD1_COUNTS))
+    def test_posterior_counts(self, name):
+        draws = _pinned_draws(name)
+        want = tuple(count / draws for count in PINNED_SD1_COUNTS[name])
+        assert _pinned_estimates(name) == want
+
+    def test_dd_pvalues(self):
+        assert _pinned_dd_pvalues() == [p for *_, p in PINNED_DD]
+
+
+# ---------------------------------------------------------------------------
 # simulated rejection probabilities
 
 
