@@ -393,6 +393,8 @@ def _load_sample(path):
         raise ConfigError(f"{path}: expected newline-delimited numbers: {exc}") from exc
     if data.ndim != 1 or data.size == 0:
         raise ConfigError(f"{path}: expected a nonempty 1-column sample")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: sample holds non-finite values (nan or inf)")
     return data
 
 

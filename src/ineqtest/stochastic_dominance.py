@@ -161,59 +161,108 @@ def fixed_design_sample(n, h):
 # bootstrap posterior draws for a CDF
 
 
-def _banks_rows(sorted_sample, gap_weights, grid):
-    """Evaluates the smoothed bootstrap CDF rows at ``grid``.
+@dataclass(frozen=True)
+class _RowTable:
+    """Where each point of a sorted grid reads a bootstrap CDF row.
 
-    gap_weights has n+1 columns: an atom at the sample min, one weight per
-    inter-order-statistic gap (mass linear in t across the gap), and an
-    atom at the sample max.  Returns an (S, len(grid)) array.
+    With C[k] the running sum of a row's first k weights, grid column j
+    reads 0 for j < lo, 1 for j >= hi, and C[k[j]] + frac[j] * w[k[j]] in
+    between.  rubin has no frac (the step CDF's value is C[k]) and no 1
+    region.  banks weights are an atom at the sample min, one weight per
+    gap spread linearly across it, and an atom at the max; with n = 1 the
+    interior is empty and the row is the step at the single point.  k is
+    nondecreasing because the grid is sorted.
     """
+
+    k: np.ndarray
+    frac: np.ndarray | None
+    lo: int
+    hi: int
+
+
+def _row_table(sorted_sample, variant, grid):
     xs = sorted_sample
     n = xs.size
-    grid = np.asarray(grid, dtype=float)
-    if n == 1:
-        return (grid >= xs[0]).astype(float)[None, :] * np.ones((gap_weights.shape[0], 1))
-    cum = np.cumsum(gap_weights, axis=1)
     seg = np.searchsorted(xs, grid, side="right")
-    out = np.empty((gap_weights.shape[0], grid.size))
-    out[:, seg == 0] = 0.0
-    out[:, seg >= n] = 1.0
-    interior = np.where((seg > 0) & (seg < n))[0]
-    if interior.size:
-        k = seg[interior]
-        width = xs[k] - xs[k - 1]
-        frac = np.where(width > 0, (grid[interior] - xs[k - 1]) / np.where(width > 0, width, 1.0), 1.0)
-        out[:, interior] = cum[:, k - 1] + frac[None, :] * gap_weights[:, k]
-    return out
+    lo = int(np.searchsorted(seg, 0, side="right"))
+    if variant == RUBIN:
+        return _RowTable(k=seg, frac=None, lo=lo, hi=grid.size)
+    hi = int(np.searchsorted(seg, n - 1, side="right"))
+    k = seg[lo:hi]
+    width = xs[k] - xs[k - 1]
+    frac = np.where(width > 0, (grid[lo:hi] - xs[k - 1]) / np.where(width > 0, width, 1.0), 1.0)
+    padded = np.zeros(grid.size)
+    padded[lo:hi] = frac
+    return _RowTable(k=seg, frac=padded, lo=lo, hi=hi)
 
 
-def _rubin_rows(sorted_sample, point_weights, grid):
-    """Evaluates weighted step CDF rows at ``grid``; (S, len(grid))."""
-    cum = np.cumsum(point_weights, axis=1)
-    idx = np.searchsorted(sorted_sample, np.asarray(grid, dtype=float), side="right")
-    out = np.zeros((point_weights.shape[0], len(grid)))
-    pos = idx > 0
-    out[:, pos] = cum[:, idx[pos] - 1]
-    return out
+def _cdf_columns(table, w, rows, carry, pos, j0, j1):
+    """Values of the CDF rows ``w[rows]`` at grid columns [j0, j1).
+
+    ``carry`` holds C[pos] for each selected row; returns the (rows,
+    j1 - j0) values with the carry and position advanced.  The running sum
+    is extended by a sequential cumsum over [carry, next weights], so every
+    C[k] is the same float a cumsum over the whole row gives.
+    """
+    out = np.empty((carry.size, j1 - j0))
+    a = min(max(j0, table.lo), j1)
+    b = min(max(j0, table.hi), j1)
+    out[:, :a - j0] = 0.0
+    out[:, b - j0:] = 1.0
+    if a < b:
+        k = table.k[a:b] - pos
+        q = int(k[-1])
+        win = w[rows, pos:pos + q + (table.frac is not None)]
+        cum = np.empty((carry.size, q + 1))
+        cum[:, 0] = carry
+        cum[:, 1:] = win[:, :q]
+        np.cumsum(cum, axis=1, out=cum)
+        vals = out[:, a - j0:b - j0]
+        np.take(cum, k, axis=1, out=vals)
+        if table.frac is not None:
+            vals += table.frac[a:b] * win[:, k]
+        carry = cum[:, q]
+        pos += q
+    return out, carry, pos
+
+
+def _weight_rows(n, variant, rng, draws):
+    return dirichlet_flat_sample(n if variant == RUBIN else n + 1, rng, size=draws)
 
 
 def _posterior_rows(sample, variant, rng, draws, grid):
+    """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``."""
     xs = np.sort(np.asarray(sample, dtype=float))
-    if variant == RUBIN:
-        w = dirichlet_flat_sample(xs.size, rng, size=draws)
-        return _rubin_rows(xs, w, grid)
-    w = dirichlet_flat_sample(xs.size + 1, rng, size=draws)
-    return _banks_rows(xs, w, grid)
+    grid = np.asarray(grid, dtype=float)
+    w = _weight_rows(xs.size, variant, rng, draws)
+    rows, _, _ = _cdf_columns(_row_table(xs, variant, grid), w, slice(None),
+                              np.zeros(draws), 0, 0, grid.size)
+    return rows
 
 
-# cap on draws * grid floats materialized at once when counting dominance
-# events; keeps large-draw posteriors at tens of MB
+# a draw block has _BLOCK_ELEMS // (pooled grid points) draws, so its weight
+# rows hold about _BLOCK_ELEMS floats; keeps large-draw posteriors at tens
+# of MB
 _BLOCK_ELEMS = 4_000_000
+# grid columns evaluated per step of the dominance walk; output does not
+# depend on it
+_CHUNK_COLS = 64
 
 
 def _dominated_count(x, opp_sample, variant, draws, tol, rng):
     """Number of posterior draws with F_X <= bound + tol on the pooled
-    grid, evaluated in fixed-size draw blocks.
+    grid.
+
+    Weights are drawn in fixed-size draw blocks (X block, then the
+    opponent's block).  Within a block the grid is walked in chunks of
+    _CHUNK_COLS columns, keeping only the draws that have not yet violated
+    the bound: each chunk extends the alive rows' running CDF sums from a
+    per-row carry, compares those columns, and drops every violating row;
+    the block ends early once none is left.  The count equals that of a
+    whole-matrix evaluation bit for bit: the carry-extended cumsum adds the
+    same terms in the same order as a cumsum over the whole row, and the
+    weights are drawn in full blocks in the same order whatever the rows'
+    fate.
 
     Against a fixed opponent CDF, blocking leaves the result identical to
     one pass: X weight rows come row-major off a single stream.  Against a
@@ -221,23 +270,41 @@ def _dominated_count(x, opp_sample, variant, draws, tol, rng):
     size (a module constant) is part of the sampling scheme; results stay
     reproducible for a given stream either way.
     """
-    x = np.asarray(x, dtype=float)
+    xs = np.sort(np.asarray(x, dtype=float))
     if isinstance(opp_sample, (StepCdf, PiecewiseLinearCdf, ReferenceCdf)):
-        grid = np.sort(x)
-        fixed_bound = np.asarray(opp_sample.evaluate(grid), dtype=float)[None, :]
-        opp = None
+        grid = xs
+        fixed_bound = np.asarray(opp_sample.evaluate(grid), dtype=float) + tol
+        ys = None
     else:
-        opp = np.asarray(opp_sample, dtype=float)
-        grid = np.sort(np.concatenate([x, opp]))
-        fixed_bound = None
-    block = max(1, _BLOCK_ELEMS // max(1, grid.size))
+        ys = np.sort(np.asarray(opp_sample, dtype=float))
+        grid = np.sort(np.concatenate([xs, ys]))
+        ty = _row_table(ys, variant, grid)
+    tx = _row_table(xs, variant, grid)
+    size = grid.size
+    block = max(1, _BLOCK_ELEMS // max(1, size))
     count = 0
     done = 0
     while done < draws:
         take = min(block, draws - done)
-        fx_rows = _posterior_rows(x, variant, rng, take, grid)
-        bound = fixed_bound if opp is None else _posterior_rows(opp, variant, rng, take, grid)
-        count += int(np.sum(np.all(fx_rows <= bound + tol, axis=1)))
+        wx = _weight_rows(xs.size, variant, rng, take)
+        wy = None if ys is None else _weight_rows(ys.size, variant, rng, take)
+        alive = np.arange(take)
+        cx, px = np.zeros(take), 0
+        cy, py = np.zeros(take), 0
+        for j0 in range(0, size, _CHUNK_COLS):
+            j1 = min(size, j0 + _CHUNK_COLS)
+            fx, cx, px = _cdf_columns(tx, wx, alive, cx, px, j0, j1)
+            if ys is None:
+                bound = fixed_bound[j0:j1]
+            else:
+                fy, cy, py = _cdf_columns(ty, wy, alive, cy, py, j0, j1)
+                bound = fy + tol
+            ok = np.all(fx <= bound, axis=1)
+            if not ok.all():
+                alive, cx, cy = alive[ok], cx[ok], cy[ok]
+                if alive.size == 0:
+                    break
+        count += alive.size
         done += take
     return count
 
@@ -297,6 +364,8 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     x = np.asarray(x_sample, dtype=float)
     kind, opp = _as_opponent(opponent)
     opp_sample = opp if kind == "reference" else np.asarray(opp, dtype=float)
+    if x.size == 0 or (kind == "sample" and opp_sample.size == 0):
+        raise ValueError("empty sample")
     count = _dominated_count(x, opp_sample, cfg.bootstrap, cfg.draws, cfg.tol, rng)
     p = count / cfg.draws
     return McSummary(estimate=p, mc_se=mc_se(p, cfg.draws), reps=cfg.draws, master_seed=None)
@@ -380,12 +449,19 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
     return float(1.0 - std_normal_cdf(t_min))
 
 
+# cap on replicate rows * pooled grid points reduced at once by the min-t
+# bootstrap; output does not depend on it
+_DD_BLOCK_ELEMS = 500_000
+
+
 def _bootstrap_min_t_rows(x_sorted, y_sorted, wx, wy, n_boot, rng):
     """Min-t statistics for n_boot resamples drawn from reweighted samples.
 
     The resampled empirical CDFs only change value at original sample
     points, so evaluating every bootstrap min-t on the original pooled
-    grid is exact; per-row point counts come from one global bincount.
+    grid is exact; per-row point counts come from one bincount per block
+    of replicate rows.  All uniforms are drawn up front, so the blocking
+    changes neither the stream nor any row's statistic.
     """
     n, m = x_sorted.size, y_sorted.size
     grid = np.concatenate([x_sorted, y_sorted])
@@ -396,21 +472,28 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, wx, wy, n_boot, rng):
     # tie run and the cumulative sums below restore the correct CDF values
     cx = np.cumsum(wx)
     cy = np.cumsum(wy)
+    # pooled-grid slot of each sample point, so a resampled point's slot
+    # is a lookup instead of a search
+    gx = np.searchsorted(grid, x_sorted, side="left")
+    gy = np.searchsorted(grid, y_sorted, side="left")
     ux = rng.random((n_boot, n))
     uy = rng.random((n_boot, m))
-    ix = np.searchsorted(cx, ux)   # indices into x_sorted
-    iy = np.searchsorted(cy, uy)
-    sx = np.searchsorted(grid, x_sorted[ix], side="left")
-    sy = np.searchsorted(grid, y_sorted[iy], side="left")
-    rows = np.arange(n_boot)[:, None]
-    countx = np.bincount((sx + rows * big).ravel(), minlength=n_boot * big).reshape(n_boot, big)
-    county = np.bincount((sy + rows * big).ravel(), minlength=n_boot * big).reshape(n_boot, big)
-    fx = np.cumsum(countx, axis=1) / n
-    fy = np.cumsum(county, axis=1) / m
-    keep = (fx > 0.0) & (fx < 1.0) & (fy > 0.0) & (fy < 1.0)
-    se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
-    t = np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
-    return t.min(axis=1)
+    t_min = np.empty(n_boot)
+    step = max(1, _DD_BLOCK_ELEMS // big)
+    for r0 in range(0, n_boot, step):
+        sx = gx[np.searchsorted(cx, ux[r0:r0 + step])]
+        sy = gy[np.searchsorted(cy, uy[r0:r0 + step])]
+        rows = sx.shape[0]
+        offset = np.arange(rows)[:, None] * big
+        countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
+        county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
+        fx = np.cumsum(countx, axis=1) / n
+        fy = np.cumsum(county, axis=1) / m
+        keep = (fx > 0.0) & (fx < 1.0) & (fy > 0.0) & (fy < 1.0)
+        se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
+        t = np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
+        t_min[r0:r0 + rows] = t.min(axis=1)
+    return t_min
 
 
 def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:

@@ -282,6 +282,26 @@ class TestCmdSdTest:
         with pytest.raises(ConfigError, match="newline-delimited"):
             cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp)))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_non_finite_sample_exits_2_silently(self, tmp_path, capsys, bad, which):
+        xp, yp = tmp_path / "x.txt", tmp_path / "y.txt"
+        xp.write_text("0.2\n0.5\n0.9\n")
+        yp.write_text("0.1\n0.4\n0.7\n")
+        (xp if which == "x" else yp).write_text(f"0.3\n{bad}\n0.8\n")
+        code = main(["--command", "sd-test", "--x-file", str(xp),
+                     "--y-file", str(yp), "--draws", "50", "--dd-boot", "9"])
+        out = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out.out == ""
+        assert "non-finite" in out.err
+
+    def test_non_finite_one_sample_rejected(self, tmp_path):
+        xp = tmp_path / "x.txt"
+        xp.write_text("0.3\nnan\n")
+        with pytest.raises(ConfigError, match="non-finite"):
+            cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp)))
+
 
 class TestCmdLimit:
     def test_requires_region(self):

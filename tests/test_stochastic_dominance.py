@@ -268,6 +268,12 @@ class TestPosteriorProbSd1:
                                   rng=np.random.default_rng(9))
         assert full.estimate == tiny.estimate
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            posterior_prob_sd1([], UNIFORM01, cfg=SdConfig(draws=10))
+        with pytest.raises(ValueError, match="empty"):
+            posterior_prob_sd1([0.5], [], cfg=SdConfig(draws=10))
+
     def test_callable_opponent_accepted(self):
         x = [0.97, 0.98, 1.01]
         out = posterior_prob_sd1(x, lambda t: np.clip(t, 0.0, 1.0),
@@ -484,6 +490,17 @@ class TestPinnedOutputs:
 
     def test_dd_pvalues(self):
         assert _pinned_dd_pvalues() == [p for *_, p in PINNED_DD]
+
+    @pytest.mark.parametrize("cols", [1, 3, 10_000])
+    @pytest.mark.parametrize("name", [name for name in PINNED_SD1_COUNTS
+                                      if _pinned_draws(name) == 2000])
+    def test_counts_ignore_chunk_width(self, monkeypatch, name, cols):
+        monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
+        self.test_posterior_counts(name)
+
+    def test_dd_pvalues_ignore_row_block(self, monkeypatch):
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", 1)
+        self.test_dd_pvalues()
 
 
 # ---------------------------------------------------------------------------
