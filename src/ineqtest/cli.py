@@ -178,7 +178,8 @@ Region spec grammar:
 Config files are flat key=value lines (comma-separated lists, # comments);
 keys match the long flag names with - replaced by _.  Flags override file
 values.  config_hash covers the experiment-defining fields only, so output
-bytes are invariant to --workers, --out, and --format.
+bytes are invariant to --workers, --out, and --format; sample files enter it
+by their bytes, not their paths.
 """
     parser = argparse.ArgumentParser(
         prog="ineqtest",
@@ -307,8 +308,24 @@ _HASH_FIELDS = ("command", "seed", "reps", "draws", "alpha", "bootstrap", "h",
                 "dd_boot", "x_file", "y_file")
 
 
+# sample files enter the hash by content, so the hash names the data and
+# not the path it was read from
+_FILE_FIELDS = ("x_file", "y_file")
+
+
+def _hash_value(cfg: RunConfig, name):
+    value = getattr(cfg, name)
+    if name not in _FILE_FIELDS or value is None:
+        return repr(value)
+    try:
+        with open(value, "rb") as fh:
+            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read sample file {value}: {exc}") from exc
+
+
 def config_hash(cfg: RunConfig) -> str:
-    canon = "\n".join(f"{name}={getattr(cfg, name)!r}" for name in _HASH_FIELDS)
+    canon = "\n".join(f"{name}={_hash_value(cfg, name)}" for name in _HASH_FIELDS)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
@@ -349,6 +366,7 @@ def render_csv(result: TableResult, cfg: RunConfig) -> str:
 
 
 def render_json(result: TableResult, cfg: RunConfig) -> str:
+    digest = config_hash(cfg)
     rows = []
     for row in result.rows:
         item = {col: (list(row[col]) if isinstance(row[col], tuple) else row[col])
@@ -356,10 +374,10 @@ def render_json(result: TableResult, cfg: RunConfig) -> str:
         for col in result.float_columns:
             item[col] = float(row[col])
         item["master_seed"] = cfg.seed
-        item["config_hash"] = config_hash(cfg)
+        item["config_hash"] = digest
         rows.append(item)
     doc = {"command": cfg.command, "master_seed": cfg.seed,
-           "config_hash": config_hash(cfg),
+           "config_hash": digest,
            "key_columns": list(result.key_columns),
            "float_columns": list(result.float_columns), "rows": rows}
     return json.dumps(doc, indent=2) + "\n"
@@ -450,7 +468,7 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
     sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
                       dd_boot=cfg.dd_boot or 199)
     # with no explicit draw count, spend draws only near the threshold
-    adaptive = None if cfg.draws else (300, 1500, 0.1)
+    adaptive = None if cfg.draws else (300, 1500)
     plan = SeedPlan(cfg.seed)
     rows = []
     cell = 0

@@ -41,6 +41,16 @@ def beta_cdf(x, a, b):
     return special.betainc(a, b, x)
 
 
+def beta_quantile(p, a, b):
+    """Inverse of beta_cdf in x: the p-quantile of Beta(a, b)."""
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+        raise ValueError("beta_quantile requires p in [0, 1]")
+    if np.any(np.asarray(a, dtype=float) <= 0.0) or np.any(np.asarray(b, dtype=float) <= 0.0):
+        raise ValueError("beta_quantile requires a, b > 0")
+    return special.betaincinv(a, b, p)
+
+
 def dirichlet_flat_sample(n, rng, size=None):
     """Flat Dirichlet(1, ..., 1) weights over n cells.
 

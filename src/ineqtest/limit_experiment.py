@@ -346,7 +346,7 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
-    plan = master_seed if isinstance(master_seed, SeedPlan) else SeedPlan(int(master_seed))
+    plan = SeedPlan.coerce(master_seed)
     if method == "auto" and isinstance(region, HalfSpace):
         rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
         return McSummary(estimate=rp, mc_se=0.0, reps=int(reps), master_seed=plan.master_seed)
@@ -391,7 +391,7 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
     if not grid:
         raise ValueError("empty boundary grid")
     closure = tuple(j for j, t in enumerate(grid) if not region_membership(region, t))
-    plan = master_seed if isinstance(master_seed, SeedPlan) else SeedPlan(int(master_seed))
+    plan = SeedPlan.coerce(master_seed)
     summaries = []
     for j, t in enumerate(grid):
         def one_rep(_, rng, _theta=t):

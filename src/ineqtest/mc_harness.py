@@ -53,6 +53,11 @@ class SeedPlan:
     master_seed: int
     prefix: tuple = ()
 
+    @classmethod
+    def coerce(cls, seed) -> "SeedPlan":
+        """``seed`` itself when it is a plan, else the plan of int(seed)."""
+        return seed if isinstance(seed, SeedPlan) else cls(int(seed))
+
     def stream(self, *ids) -> np.random.Generator:
         key = self.prefix + tuple(int(i) for i in ids)
         seq = np.random.SeedSequence(self.master_seed, spawn_key=key)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import beta_cdf, dirichlet_flat_sample, std_normal_cdf
+from .distributions import (beta_cdf, beta_quantile, dirichlet_flat_sample,
+                            std_normal_cdf)
 from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
 
 RUBIN = "rubin"
@@ -454,8 +455,40 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
 _DD_BLOCK_ELEMS = 500_000
 
 
-def _bootstrap_min_t_rows(x_sorted, y_sorted, wx, wy, n_boot, rng):
-    """Min-t statistics for n_boot resamples drawn from reweighted samples.
+def _two_value_weights(n, k, q):
+    """Resampling weights with mass q spread evenly over the first k of n
+    points and 1 - q over the rest (0 < k < n)."""
+    w = np.empty(n)
+    w[:k] = q / k
+    w[k:] = (1.0 - q) / (n - k)
+    return w
+
+
+def _resample_index(cw, w, k, u):
+    """min(np.searchsorted(cw, u), n - 1) for the cumulative sums ``cw`` of
+    the two-value weights ``w`` that change value after index k - 1.
+
+    On each piece cw is near linear, so a floor gives the index up to
+    rounding; the guess is then moved one step at a time until it is
+    exactly the first index with cw >= u.  The clamp at n - 1 keeps a
+    uniform above a rounded-down cw[-1] on the last point.
+    """
+    n = cw.size
+    split = cw[k - 1]
+    guess = np.where(u <= split, u / w[0], k + (u - split) / w[-1])
+    idx = np.minimum(guess.astype(np.intp), n - 1)
+    while True:
+        down = (idx > 0) & (cw[idx - 1] >= u)
+        up = (idx < n - 1) & (cw[idx] < u)
+        if not (down.any() or up.any()):
+            return idx
+        idx += up
+        idx -= down
+
+
+def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng):
+    """Min-t statistics for n_boot resamples drawn from reweighted samples:
+    mass q on the first kx points of x and the first ky points of y.
 
     The resampled empirical CDFs only change value at original sample
     points, so evaluating every bootstrap min-t on the original pooled
@@ -464,6 +497,8 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, wx, wy, n_boot, rng):
     changes neither the stream nor any row's statistic.
     """
     n, m = x_sorted.size, y_sorted.size
+    wx = _two_value_weights(n, kx, q)
+    wy = _two_value_weights(m, ky, q)
     grid = np.concatenate([x_sorted, y_sorted])
     order = np.argsort(grid, kind="mergesort")
     grid = grid[order]
@@ -481,8 +516,8 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, wx, wy, n_boot, rng):
     t_min = np.empty(n_boot)
     step = max(1, _DD_BLOCK_ELEMS // big)
     for r0 in range(0, n_boot, step):
-        sx = gx[np.searchsorted(cx, ux[r0:r0 + step])]
-        sy = gy[np.searchsorted(cy, uy[r0:r0 + step])]
+        sx = gx[_resample_index(cx, wx, kx, ux[r0:r0 + step])]
+        sy = gy[_resample_index(cy, wy, ky, uy[r0:r0 + step])]
         rows = sx.shape[0]
         offset = np.arange(rows)[:, None] * big
         countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
@@ -521,14 +556,8 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:
     kx = int(np.searchsorted(x, z_hat, side="right"))
     ky = int(np.searchsorted(y, z_hat, side="right"))
     q = (kx + ky) / (n + m)
-    wx = np.empty(n)
-    wy = np.empty(m)
     # degenerate splits cannot occur: the argmin has both ECDFs in (0, 1)
-    wx[:kx] = q / kx
-    wx[kx:] = (1.0 - q) / (n - kx)
-    wy[:ky] = q / ky
-    wy[ky:] = (1.0 - q) / (m - ky)
-    t_star = _bootstrap_min_t_rows(x, y, wx, wy, n_boot, rng)
+    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, rng)
     return float((1.0 + np.sum(t_star >= t_obs)) / (n_boot + 1.0))
 
 
@@ -539,6 +568,28 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:
 def _draw_shifted_uniform(n, h, rng):
     shift = h / math.sqrt(n)
     return rng.uniform(shift, 1.0 + shift, n)
+
+
+# two-sided confidence level of the Clopper-Pearson interval that decides
+# whether an adaptive Bayesian replication is topped up
+_TOPUP_CONFIDENCE = 1.0 - 1e-3
+
+
+def _topup_counts(first, alpha):
+    """Range (lo, hi) of counts k of null draws out of ``first`` whose
+    Clopper-Pearson interval at level _TOPUP_CONFIDENCE covers alpha.
+
+    Both interval ends increase with k, so the covering counts are one
+    range; consecutive intervals overlap, so it is never empty.
+    """
+    tail = (1.0 - _TOPUP_CONFIDENCE) / 2.0
+    k = np.arange(first + 1, dtype=float)
+    lower = np.zeros(first + 1)
+    lower[1:] = beta_quantile(tail, k[1:], first - k[1:] + 1.0)
+    upper = np.ones(first + 1)
+    upper[:-1] = beta_quantile(1.0 - tail, k[:-1] + 1.0, first - k[:-1])
+    covered = np.flatnonzero((lower <= alpha) & (alpha <= upper))
+    return int(covered[0]), int(covered[-1])
 
 
 def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
@@ -556,11 +607,19 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     the null is <= alpha (for null="non_sd1" that probability is one minus
     the dominance posterior, computed from the same draws).
 
-    adaptive_draws, when set to (initial, extra, margin), runs the Bayesian
+    adaptive_draws, when set to (initial, extra), runs the Bayesian
     posterior with ``initial`` draws first and tops up with ``extra`` more
-    (pooling both batches) only when the first-stage estimate of the null
-    probability lands within ``margin`` of alpha, where extra precision can
-    still change the decision.
+    (pooling both batches) only when the first stage has not decided the
+    test: when the two-sided Clopper-Pearson interval at level
+    _TOPUP_CONFIDENCE (1 - 1e-3) for the null probability, computed from
+    the first-stage count of null draws, covers alpha.  An interval that
+    excludes alpha lies on the same side of it as the first-stage estimate,
+    and it excludes the exact posterior probability with probability at
+    most 1e-3, so a replication that stops early decides differently from
+    the exact posterior at most that often (the sequential Monte Carlo
+    stop rules of Davidson and MacKinnon 2000 and Gandy 2009).  The covered
+    counts form one range, computed once per call, so each replication's
+    check is two integer comparisons.
     """
     if null not in ("sd1", "non_sd1"):
         raise ValueError("null must be 'sd1' or 'non_sd1'")
@@ -572,6 +631,12 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     if method in ("dd", "iu_maxt") and not two_sample:
         raise ValueError(f"{method} is a two-sample test")
 
+    if method == "bayes" and adaptive_draws is not None:
+        first, extra = adaptive_draws
+        lo, hi = _topup_counts(first, alpha)
+        # the range is in null-draw counts; one_rep sees dominance counts
+        topup_lo, topup_hi = (lo, hi) if null == "sd1" else (first - hi, first - lo)
+
     def one_rep(_, rng):
         x = _draw_shifted_uniform(n, h, rng)
         y = rng.uniform(0.0, 1.0, n) if two_sample else None
@@ -580,11 +645,9 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
             if adaptive_draws is None:
                 post_sd1 = posterior_prob_sd1(x, opponent, cfg=cfg, rng=rng).estimate
             else:
-                first, extra, margin = adaptive_draws
                 p1 = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=first),
                                         rng=rng).estimate
-                null_p1 = p1 if null == "sd1" else 1.0 - p1
-                if abs(null_p1 - alpha) <= margin:
+                if topup_lo <= round(p1 * first) <= topup_hi:
                     p2 = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=extra),
                                             rng=rng).estimate
                     post_sd1 = (first * p1 + extra * p2) / (first + extra)
@@ -602,6 +665,6 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
             p = iu_maxt_pvalue_nonsd1(x, y)
         return p <= alpha
 
-    plan = master_seed if isinstance(master_seed, SeedPlan) else SeedPlan(int(master_seed))
+    plan = SeedPlan.coerce(master_seed)
     report = run_replications(one_rep, reps, plan, workers=workers)
     return report.summary

@@ -414,7 +414,7 @@ def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
     samples whose posterior NSD probability falls at or below alpha."""
     if reps < 1:
         raise ValueError("need reps >= 1")
-    plan = master_seed if isinstance(master_seed, SeedPlan) else SeedPlan(int(master_seed))
+    plan = SeedPlan.coerce(master_seed)
     reject = np.full(reps, -1, dtype=np.int64)
     mono = np.full(reps, -1, dtype=np.int64)
 

@@ -187,6 +187,28 @@ class TestConfigHash:
     def test_stable_length(self):
         assert len(config_hash(RunConfig(command="limit"))) == 12
 
+    @pytest.mark.parametrize("field", ["x_file", "y_file"])
+    def test_sample_file_bytes_change_the_hash(self, tmp_path, field):
+        path = tmp_path / "s.txt"
+        path.write_text("0.1\n0.5\n")
+        cfg = RunConfig(command="sd-test", **{field: str(path)})
+        before = config_hash(cfg)
+        path.write_text("0.1\n0.6\n")
+        assert config_hash(cfg) != before
+
+    def test_sample_file_path_does_not_enter_the_hash(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b" / "x.txt"
+        b.parent.mkdir()
+        for path in (a, b):
+            path.write_text("0.1\n0.5\n")
+        assert (config_hash(RunConfig(command="sd-test", x_file=str(a), y_file=str(b)))
+                == config_hash(RunConfig(command="sd-test", x_file=str(b), y_file=str(a))))
+
+    def test_unreadable_sample_file_is_a_config_error(self, tmp_path):
+        cfg = RunConfig(command="sd-test", x_file=str(tmp_path / "missing.txt"))
+        with pytest.raises(ConfigError, match="cannot read"):
+            config_hash(cfg)
+
 
 # ---------------------------------------------------------------------------
 # renderers

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import oracle_beta_cdf_int, oracle_normal_cdf, oracle_normal_quantile
 from ineqtest.distributions import (STANDARD_NORMAL, CovarianceMatrix,
                                     SymmetricLocationFamily, beta_cdf,
-                                    dirichlet_flat_sample, mvn_sample,
-                                    std_normal_cdf, std_normal_pdf,
+                                    beta_quantile, dirichlet_flat_sample,
+                                    mvn_sample, std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
 
 
@@ -72,6 +72,17 @@ class TestBeta:
     def test_rejects_x_outside_unit_interval(self, bad):
         with pytest.raises(ValueError):
             beta_cdf(bad, 2.0, 2.0)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 300.0), (30.0, 271.0), (300.0, 1.0), (2.5, 4.0)])
+    @pytest.mark.parametrize("p", [0.0005, 0.3, 0.9995])
+    def test_quantile_inverts_cdf(self, a, b, p):
+        assert beta_cdf(beta_quantile(p, a, b), a, b) == pytest.approx(p, rel=1e-10)
+
+    def test_quantile_validation(self):
+        with pytest.raises(ValueError):
+            beta_quantile(1.5, 2.0, 2.0)
+        with pytest.raises(ValueError):
+            beta_quantile(0.5, 0.0, 2.0)
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.01, max_value=0.99))

@@ -64,6 +64,12 @@ class TestSeedPlan:
         assert not np.array_equal(plan.stream(1, 2).standard_normal(4),
                                   plan.stream(2, 1).standard_normal(4))
 
+    def test_coerce(self):
+        plan = SeedPlan(7).subplan(2)
+        assert SeedPlan.coerce(plan) is plan
+        assert SeedPlan.coerce(7) == SeedPlan(7)
+        assert SeedPlan.coerce(np.int64(7)) == SeedPlan(7)
+
 
 class TestMcSummary:
     def test_rejects_zero_reps(self):

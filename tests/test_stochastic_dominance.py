@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 import ineqtest.stochastic_dominance as sd
 from conftest import oracle_beta_cdf_int, oracle_normal_cdf
-from ineqtest.mc_harness import SeedPlan
+from ineqtest.mc_harness import McSummary, SeedPlan
 from ineqtest.stochastic_dominance import (
     BANKS,
     RUBIN,
@@ -539,10 +540,10 @@ class TestSdRejectionProbability:
         cfg = SdConfig(draws=40)
         out = sd_rejection_probability(0.9, 25, False, "non_sd1", "bayes", 0.1,
                                        reps=40, cfg=cfg, master_seed=2,
-                                       adaptive_draws=(40, 120, 1.0))
+                                       adaptive_draws=(40, 120))
         again = sd_rejection_probability(0.9, 25, False, "non_sd1", "bayes", 0.1,
                                          reps=40, cfg=cfg, master_seed=2,
-                                         adaptive_draws=(40, 120, 1.0))
+                                         adaptive_draws=(40, 120))
         assert out.estimate == again.estimate
         assert 0.0 <= out.estimate <= 1.0
 
@@ -553,3 +554,98 @@ class TestSdRejectionProbability:
         b = sd_rejection_probability(0.0, 25, False, "sd1", "ks", 0.1, 50,
                                      master_seed=44)
         assert a.estimate == b.estimate
+
+
+# ---------------------------------------------------------------------------
+# adaptive top-up stop rule
+
+
+def _cp_covers(k, first, alpha):
+    """Whether the Clopper-Pearson interval for k successes out of first,
+    from scipy.stats.beta quantiles at the top-up level, covers alpha."""
+    tail = (1.0 - sd._TOPUP_CONFIDENCE) / 2.0
+    lower = 0.0 if k == 0 else stats.beta.ppf(tail, k, first - k + 1)
+    upper = 1.0 if k == first else stats.beta.ppf(1.0 - tail, k + 1, first - k)
+    return lower <= alpha <= upper
+
+
+class TestTopupRule:
+    @pytest.mark.parametrize("first", [40, 300])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9])
+    def test_range_matches_clopper_pearson(self, first, alpha):
+        covered = [k for k in range(first + 1) if _cp_covers(k, first, alpha)]
+        assert covered == list(range(covered[0], covered[-1] + 1))
+        assert sd._topup_counts(first, alpha) == (covered[0], covered[-1])
+
+    def test_range_reaches_both_edges(self):
+        # 0 of 40 still covers alpha = 0.05, and 40 of 40 covers 0.9
+        assert sd._topup_counts(40, 0.05)[0] == 0
+        assert sd._topup_counts(40, 0.9)[1] == 40
+
+    @staticmethod
+    def _count_posteriors(monkeypatch, null, null_count, reps=6):
+        """Draw counts of the posterior calls made by one adaptive bayes
+        cell whose first stage always sees ``null_count`` null draws out
+        of 300."""
+        calls = []
+
+        def fake(x_sample, opponent, cfg=SdConfig(), rng=None):
+            calls.append(cfg.draws)
+            count = null_count if null == "sd1" else cfg.draws - null_count
+            return McSummary(estimate=count / cfg.draws, mc_se=0.0, reps=cfg.draws,
+                             master_seed=None)
+
+        monkeypatch.setattr(sd, "posterior_prob_sd1", fake)
+        sd_rejection_probability(0.0, 20, False, null, "bayes", 0.1, reps=reps,
+                                 master_seed=3, adaptive_draws=(300, 1500))
+        return calls
+
+    @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
+    def test_decided_first_stage_never_tops_up(self, monkeypatch, null):
+        assert not _cp_covers(0, 300, 0.1)
+        assert self._count_posteriors(monkeypatch, null, 0) == [300] * 6
+
+    @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
+    def test_straddling_count_always_tops_up(self, monkeypatch, null):
+        for k in (20, 30, 40):
+            assert _cp_covers(k, 300, 0.1)
+            assert self._count_posteriors(monkeypatch, null, k) == [300, 1500] * 6
+            monkeypatch.undo()
+
+    def test_margin_tuple_rejected(self):
+        with pytest.raises(ValueError):
+            sd_rejection_probability(0.0, 20, False, "sd1", "bayes", 0.1, reps=2,
+                                     adaptive_draws=(300, 1500, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# closed-form min-t resample index
+
+
+def _searchsorted_index(cw, u):
+    return np.minimum(np.searchsorted(cw, u), cw.size - 1)
+
+
+class TestResampleIndex:
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_matches_searchsorted(self, n):
+        rng = np.random.default_rng(n)
+        for k in sorted({1, n // 2 or 1, n - 1}):
+            for q in (k / n, 0.5, rng.uniform(0.01, 0.99)):
+                w = sd._two_value_weights(n, k, q)
+                cw = np.cumsum(w)
+                # random uniforms, every cumulative sum exactly (ties), the
+                # floats either side of each, and uniforms above cw[-1]
+                u = np.concatenate([rng.random(4000), cw, np.nextafter(cw, 0.0),
+                                    np.nextafter(cw, 2.0), [0.0, 1.0 - 2**-53]])
+                u = u[u < 1.0].reshape(1, -1)
+                got = sd._resample_index(cw, w, k, u)
+                np.testing.assert_array_equal(got, _searchsorted_index(cw, u))
+
+    def test_clamps_above_rounded_down_total(self):
+        w = sd._two_value_weights(3, 1, 0.1)
+        cw = np.cumsum(w)
+        cw[-1] = 1.0 - 2**-52
+        u = np.array([[1.0 - 2**-53]])
+        assert np.searchsorted(cw, u)[0, 0] == 3
+        assert sd._resample_index(cw, w, 1, u)[0, 0] == 2
