@@ -8,10 +8,9 @@ testing with Bayesian-bootstrap posteriors and frequentist p-values
 """
 
 from .distributions import (
-    STANDARD_NORMAL,
     CovarianceMatrix,
-    SymmetricLocationFamily,
     beta_cdf,
+    bivariate_normal_cdf,
     dirichlet_flat_sample,
     mvn_sample,
     std_normal_cdf,
@@ -95,12 +94,11 @@ __all__ = [
     "FreeParams", "HalfSpace", "Hessian3", "IntervalUnion", "LowerHalfLine",
     "McSummary", "PiecewiseLinearCdf", "Predicate", "RUBIN",
     "RankDeficientError", "REJECT", "ReferenceCdf", "ReplicationError",
-    "RunReport", "STANDARD_NORMAL", "SdConfig", "SeedPlan", "SignAgreement",
-    "SizeResult", "StepCdf", "SymmetricLocationFamily", "TranslogData",
-    "TranslogDgp", "TranslogParams", "Type1Result", "UNIFORM01",
-    "bayes_test", "bb_draw", "beta_cdf", "dd_pvalue_nonsd1",
-    "default_free_params", "dirichlet_flat_sample", "ecdf", "expand_params",
-    "fixed_design_sample", "halfspace_rejection_prob_exact", "hessian",
+    "RunReport", "SdConfig", "SeedPlan", "SignAgreement", "SizeResult",
+    "StepCdf", "TranslogData", "TranslogDgp", "TranslogParams", "Type1Result",
+    "UNIFORM01", "bayes_test", "bb_draw", "beta_cdf", "bivariate_normal_cdf",
+    "dd_pvalue_nonsd1", "default_free_params", "dirichlet_flat_sample", "ecdf",
+    "expand_params", "fixed_design_sample", "halfspace_rejection_prob_exact", "hessian",
     "is_nsd", "iu_beta_pvalue_nonsd1", "iu_maxt_pvalue_nonsd1",
     "kline_orthant_posterior", "ks_pvalue_sd1", "log_cost", "mc_se",
     "minimax_level_bounds", "monotone_at_unit", "mvn_sample", "ols_fit",

@@ -1,12 +1,14 @@
 """Scalar and multivariate probability primitives shared by all modules.
 
 Everything here is a thin, validated layer over numpy/scipy specials: the
-standard normal location family, covariance matrices (possibly singular),
-regularized incomplete beta, and flat Dirichlet weights.
+standard normal distribution, the bivariate normal CDF, covariance
+matrices (possibly singular), regularized incomplete beta, and flat
+Dirichlet weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,29 @@ def std_normal_quantile(p):
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise ValueError("quantile requires 0 < p < 1")
     return special.ndtri(p)
+
+
+def bivariate_normal_cdf(h, k, rho):
+    """Pr(Z1 <= h, Z2 <= k) for standard normals with correlation |rho| < 1,
+    vectorized over h and k.
+
+    Owen (1956): Phi2 = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta
+    with a_h = (k - rho h) / (h sqrt(1 - rho^2)), a_k symmetric, and beta
+    = 1/2 when hk < 0, or hk = 0 and h + k < 0.  As h -> 0 the argument
+    a_h tends to sign(k - rho h) inf, and Phi2(0, 0) = 1/4 + asin(rho)/2pi.
+    """
+    if not abs(rho) < 1.0:
+        raise ValueError("need |rho| < 1")
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_h = np.where(h == 0.0, np.sign(k - rho * h) * np.inf, (k - rho * h) / (h * s))
+        a_k = np.where(k == 0.0, np.sign(h - rho * k) * np.inf, (h - rho * k) / (k * s))
+    sign_product = np.sign(h) * np.sign(k)
+    beta = np.where((sign_product < 0.0) | ((sign_product == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    out = (0.5 * std_normal_cdf(h) + 0.5 * std_normal_cdf(k)
+           - special.owens_t(h, a_h) - special.owens_t(k, a_k) - beta)
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), out)
 
 
 def beta_cdf(x, a, b):
@@ -61,31 +86,8 @@ def dirichlet_flat_sample(n, rng, size=None):
         raise ValueError("need n >= 1")
     shape = (n,) if size is None else (size, n)
     g = rng.standard_exponential(shape)
-    return g / g.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class SymmetricLocationFamily:
-    """A symmetric location family F with full support; only the standard
-    normal variant ships, but the tag keeps the door open."""
-
-    name: str = "standard_normal"
-
-    def __post_init__(self):
-        if self.name != "standard_normal":
-            raise ValueError(f"unsupported family: {self.name!r}")
-
-    def cdf(self, x):
-        return std_normal_cdf(x)
-
-    def pdf(self, x):
-        return std_normal_pdf(x)
-
-    def quantile(self, p):
-        return std_normal_quantile(p)
-
-
-STANDARD_NORMAL = SymmetricLocationFamily()
+    g /= g.sum(axis=-1, keepdims=True)
+    return g
 
 
 @dataclass(frozen=True)

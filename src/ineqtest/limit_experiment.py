@@ -8,22 +8,30 @@ half-spaces this test is exact; for smaller regions (boxes, interval
 unions, sign agreement) its size can land on either side of alpha, which
 is the behavior this module exists to measure.
 
-Null regions with closed-form posterior probabilities (half-spaces,
-scalar interval unions, boxes under independent coordinates, and their
-complements) are evaluated analytically; everything else falls back to
-Monte Carlo over posterior draws.
+Null regions with closed-form posterior probabilities are evaluated
+exactly and vectorized over a block of observations: half-spaces, scalar
+interval unions, boxes under independent coordinates, sign agreement
+under any nonsingular 2 x 2 covariance (through the bivariate normal CDF
+and Owen's T), and their complements.  Monte Carlo over posterior draws
+remains only for predicates, correlated boxes and sign agreement under a
+singular covariance or perfect correlation.
+
+Rejection probabilities are simulated in blocks of _REPS_PER_BLOCK
+replications: each block draws its observations with one call on its own
+stream and decides them all with one comparison against alpha.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
-    STANDARD_NORMAL,
     CovarianceMatrix,
-    SymmetricLocationFamily,
+    bivariate_normal_cdf,
     mvn_sample,
     std_normal_cdf,
     std_normal_quantile,
@@ -32,6 +40,10 @@ from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
 
 REJECT = "reject"
 ACCEPT = "accept"
+
+# replications per block of a simulated rejection probability; part of the
+# sampling scheme, so it must never depend on the worker count
+_REPS_PER_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,6 @@ class Experiment:
     """One observation X ~ N(theta, Sigma); posterior theta | X ~ N(X, Sigma)."""
 
     cov: CovarianceMatrix
-    family: SymmetricLocationFamily = STANDARD_NORMAL
 
     @classmethod
     def scalar(cls, variance=1.0):
@@ -224,30 +235,62 @@ class Experiment:
 # posterior probabilities
 
 
-def posterior_prob_halfspace(region: HalfSpace, x, exp: Experiment) -> float:
-    """Closed-form posterior probability of a half-space: F((c0 - c.x)/sd)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _rows(x):
+    """One observation, or a block of them, as an (m, d) float array."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(1, -1) if x.ndim < 2 else x
+
+
+def _fold_columns(ufunc, a):
+    """ufunc applied across the columns of a, left to right.  Every row gets
+    the same floats whatever the number of rows, which neither a BLAS
+    product nor a vectorized reduction promises."""
+    return functools.reduce(ufunc, a.T)
+
+
+def _halfspace_posterior(region: HalfSpace, x, exp: Experiment):
     var = exp.cov.quad_form(region.c)
     if var <= 0.0:
         raise ValueError("degenerate direction: c' Sigma c = 0")
-    sd = np.sqrt(var)
-    return float(exp.family.cdf((region.c0 - region.c @ x) / sd))
+    return std_normal_cdf((region.c0 - _fold_columns(np.add, x * region.c)) / math.sqrt(var))
+
+
+def posterior_prob_halfspace(region: HalfSpace, x, exp: Experiment) -> float:
+    """Closed-form posterior probability of a half-space: F((c0 - c.x)/sd)."""
+    return float(_halfspace_posterior(region, _rows(x), exp)[0])
+
+
+def _signagree_posterior(x, exp: Experiment):
+    """Both-positive plus both-negative posterior mass,
+    1 - Phi(u) - Phi(v) + 2 Phi2(u, v; rho) with u = -x1/sd1, v = -x2/sd2;
+    None for a singular covariance or |rho| = 1."""
+    sds = exp.cov.diag_sd()
+    if not np.all(sds > 0.0):
+        return None
+    rho = float(exp.cov.entries[0, 1] / (sds[0] * sds[1]))
+    if not abs(rho) < 1.0:
+        return None
+    u = -x[:, 0] / sds[0]
+    v = -x[:, 1] / sds[1]
+    post = 1.0 - std_normal_cdf(u) - std_normal_cdf(v) + 2.0 * bivariate_normal_cdf(u, v, rho)
+    return np.clip(post, 0.0, 1.0)
 
 
 def _closed_form_posterior(region, x, exp: Experiment):
-    """Returns the exact posterior probability, or None when no closed form
-    applies (correlated boxes, sign agreement, predicates)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Exact posterior probabilities of the region at each row of the (m, d)
+    array x, or None when no closed form applies (correlated boxes,
+    predicates, sign agreement with a singular covariance)."""
     if isinstance(region, HalfSpace):
-        return posterior_prob_halfspace(region, x, exp)
+        return _halfspace_posterior(region, x, exp)
     if isinstance(region, IntervalUnion):
-        sd = np.sqrt(exp.cov.entries[0, 0])
+        sd = math.sqrt(exp.cov.entries[0, 0])
         if sd <= 0.0:
             raise ValueError("degenerate scalar experiment")
-        total = 0.0
+        total = np.zeros(x.shape[0])
         for a, b in region.intervals:
-            total += float(exp.family.cdf((b - x[0]) / sd) - exp.family.cdf((a - x[0]) / sd))
-        return min(max(total, 0.0), 1.0)
+            total = total + (std_normal_cdf((b - x[:, 0]) / sd)
+                             - std_normal_cdf((a - x[:, 0]) / sd))
+        return np.clip(total, 0.0, 1.0)
     if isinstance(region, Box):
         off_diag = exp.cov.entries - np.diag(np.diag(exp.cov.entries))
         if np.any(off_diag != 0.0):
@@ -255,9 +298,11 @@ def _closed_form_posterior(region, x, exp: Experiment):
         sds = exp.cov.diag_sd()
         if np.any(sds <= 0.0):
             return None
-        hi = exp.family.cdf((region.upper - x) / sds)
-        lo = exp.family.cdf((region.lower - x) / sds)
-        return float(np.prod(hi - lo))
+        mass = (std_normal_cdf((region.upper - x) / sds)
+                - std_normal_cdf((region.lower - x) / sds))
+        return _fold_columns(np.multiply, mass)
+    if isinstance(region, SignAgreement):
+        return _signagree_posterior(x, exp)
     if isinstance(region, Complement):
         inner = _closed_form_posterior(region.inner, x, exp)
         if inner is None:
@@ -273,9 +318,10 @@ def posterior_prob_region(region, x, exp: Experiment, draws=2000, rng=None) -> M
     from the posterior N(x, Sigma); a Complement is evaluated through its
     inner region on the same draws, so the two estimates sum to 1 exactly.
     """
-    exact = _closed_form_posterior(region, x, exp)
+    exact = _closed_form_posterior(region, _rows(x), exp)
     if exact is not None:
-        return McSummary(estimate=exact, mc_se=0.0, reps=max(int(draws), 1), master_seed=None)
+        return McSummary(estimate=float(exact[0]), mc_se=0.0, reps=max(int(draws), 1),
+                         master_seed=None)
     if isinstance(region, Complement):
         inner = posterior_prob_region(region.inner, x, exp, draws=draws, rng=rng)
         return McSummary(estimate=1.0 - inner.estimate, mc_se=inner.mc_se,
@@ -307,14 +353,18 @@ def kline_orthant_posterior(x) -> float:
 # testing and operating characteristics
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 def bayes_test(region, x, exp: Experiment, alpha, draws=2000, rng=None) -> str:
     """Rejects the null region iff its posterior probability is <= alpha.
 
     The comparison is inclusive and uses the Monte Carlo point estimate
     directly when no closed form exists.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     post = posterior_prob_region(region, x, exp, draws=draws, rng=rng)
     return REJECT if post.estimate <= alpha else ACCEPT
 
@@ -331,7 +381,28 @@ def halfspace_rejection_prob_exact(region: HalfSpace, theta, exp: Experiment, al
         raise ValueError("degenerate direction: c' Sigma c = 0")
     sd = np.sqrt(var)
     z = std_normal_quantile(1.0 - alpha)
-    return float(1.0 - exp.family.cdf((region.c0 - region.c @ theta) / sd + z))
+    return float(1.0 - std_normal_cdf((region.c0 - region.c @ theta) / sd + z))
+
+
+def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws, plan,
+                         workers) -> McSummary:
+    """Share of X ~ N(theta, Sigma) the test rejects.  Block b of
+    _REPS_PER_BLOCK replications draws its observations in one call on
+    plan.stream(b) and decides them with one comparison; regions without a
+    closed form take per-row Monte Carlo posteriors from the same stream."""
+    _check_alpha(alpha)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+
+    def decide_block(indices, rng):
+        x = exp.sample(theta, rng, size=indices.size)
+        post = _closed_form_posterior(region, x, exp)
+        if post is None:
+            post = np.array([posterior_prob_region(region, row, exp, draws=draws,
+                                                   rng=rng).estimate for row in x])
+        return post <= alpha
+
+    return run_replications(decide_block, reps, plan, workers=workers,
+                            block_size=_REPS_PER_BLOCK).summary
 
 
 def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
@@ -341,8 +412,9 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
 
     method="auto" uses the exact formula for half-spaces and falls back to
     Monte Carlo otherwise; method="mc" forces simulation.  The Monte Carlo
-    path simulates X ~ N(theta, Sigma) per replication on a derived stream
-    and applies the test, so results are reproducible for any worker count.
+    path simulates X ~ N(theta, Sigma) in fixed-size blocks on derived
+    streams and applies the test, so results are reproducible for any
+    worker count.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
@@ -350,14 +422,7 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
     if method == "auto" and isinstance(region, HalfSpace):
         rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
         return McSummary(estimate=rp, mc_se=0.0, reps=int(reps), master_seed=plan.master_seed)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-
-    def one_rep(_, rng):
-        x = exp.sample(theta, rng)
-        return bayes_test(region, x, exp, alpha, draws=draws, rng=rng) == REJECT
-
-    report = run_replications(one_rep, reps, plan, workers=workers)
-    return report.summary
+    return _simulated_rejection(region, theta, exp, alpha, reps, draws, plan, workers)
 
 
 @dataclass(frozen=True)
@@ -392,14 +457,9 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
         raise ValueError("empty boundary grid")
     closure = tuple(j for j, t in enumerate(grid) if not region_membership(region, t))
     plan = SeedPlan.coerce(master_seed)
-    summaries = []
-    for j, t in enumerate(grid):
-        def one_rep(_, rng, _theta=t):
-            x = exp.sample(_theta, rng)
-            return bayes_test(region, x, exp, alpha, draws=draws, rng=rng) == REJECT
-
-        report = run_replications(one_rep, reps, plan.subplan(j), workers=workers)
-        summaries.append(report.summary)
+    summaries = [_simulated_rejection(region, t, exp, alpha, reps, draws, plan.subplan(j),
+                                      workers)
+                 for j, t in enumerate(grid)]
     argmax = int(np.argmax([s.estimate for s in summaries]))
     thetas = tuple(tuple(float(v) for v in t) for t in grid)
     return SizeResult(thetas=thetas, summaries=tuple(summaries),

@@ -1,10 +1,11 @@
 """Reproducible Monte Carlo replication engine.
 
-Every simulated probability in this package is produced here: replication i
-consumes only the stream derived from (master_seed, i), results are gathered
-into a preallocated slot per index, and the reduction is an exact integer
-sum.  Output is therefore bit-identical for any worker count and any
-execution order.
+Every simulated probability in this package is produced here.  The
+replications are cut into consecutive blocks of a size fixed by the
+caller; block b consumes only the stream derived from (master_seed, b),
+its results land in a slot of their own, and the reduction is an exact
+integer sum per column.  Output is therefore bit-identical for any worker
+count and any execution order.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ class SeedPlan:
 
 @dataclass(frozen=True)
 class RunReport:
+    """``summary`` describes indicator column 0; ``counts`` holds the exact
+    count of every column."""
+
     summary: McSummary
     wall_seconds: float
     config: dict = field(default_factory=dict)
     indicators: np.ndarray | None = None
+    counts: tuple = ()
 
 
 class ReplicationError(RuntimeError):
@@ -84,50 +89,87 @@ class ReplicationError(RuntimeError):
         self.cause = cause
 
 
-def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
-                     log_indicators=False, config=None) -> RunReport:
-    """Runs ``task(i, rng) -> 0/1`` for i in range(reps) and averages.
+def _indicator_rows(value, rows):
+    """A task's block result as an int64 array of shape (rows,) or
+    (rows, k) holding only 0 and 1."""
+    arr = np.asarray(value)
+    if arr.ndim not in (1, 2) or arr.shape[0] != rows or arr.shape[1:] == (0,):
+        raise ValueError(f"task returned shape {arr.shape}, expected ({rows},) or ({rows}, k)")
+    if arr.dtype.kind != "b" and not (arr.dtype.kind in "iuf"
+                                      and np.all((arr == 0) | (arr == 1))):
+        raise ValueError(f"task returned non-indicator values {value!r}")
+    return arr.astype(np.int64)
 
-    The estimate is an exact integer count divided by reps, so permuting
-    execution order or changing ``workers`` never changes the report.
+
+def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
+                     log_indicators=False, config=None, block_size=None) -> RunReport:
+    """Runs a replication task for indices range(reps) and averages.
+
+    With ``block_size`` set, block b holds indices [b * block_size,
+    min((b + 1) * block_size, reps)) and ``task(indices, rng)`` runs once
+    per block on ``seed_plan.stream(b)``, returning one row of 0/1
+    indicators per index: an int array of shape (rows,) or (rows, k), with
+    the same k in every block.  Without it the task is scalar,
+    ``task(i, rng) -> 0/1`` on ``seed_plan.stream(i)``: the block-of-one
+    case.
+
+    The counts are exact integer sums, so permuting execution order or
+    changing ``workers`` never changes the report; only ``block_size``,
+    which callers hold as a constant, decides which stream a replication
+    reads.  A failing block raises ReplicationError with the first index of
+    the lowest failing block.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
-    t0 = time.perf_counter()
-    results = np.full(reps, -1, dtype=np.int64)
-    failure = []
+    if block_size is None:
+        scalar_task, block_size = task, 1
 
-    def run_indices(indices):
-        for i in indices:
-            if failure:
+        def task(indices, rng):
+            value = scalar_task(int(indices[0]), rng)
+            if value not in (0, 1):
+                raise ValueError(f"task returned non-indicator {value!r}")
+            return np.array([bool(value)])
+    if block_size < 1:
+        raise ValueError("need block_size >= 1")
+    t0 = time.perf_counter()
+    n_blocks = -(-reps // block_size)
+    blocks = [None] * n_blocks
+    failures = []
+
+    def run_blocks(block_ids):
+        for b in block_ids:
+            first = b * block_size
+            # a lower failure decides the error; blocks below it still run
+            if failures and min(i for i, _ in failures) < first:
                 return
+            indices = np.arange(first, min(first + block_size, reps))
             try:
-                value = task(i, seed_plan.stream(i))
+                blocks[b] = _indicator_rows(task(indices, seed_plan.stream(b)), indices.size)
             except Exception as exc:  # noqa: BLE001, re-raised with index below
-                failure.append((i, exc))
+                failures.append((first, exc))
                 return
-            as_int = int(value)
-            if as_int != value or as_int not in (0, 1):
-                failure.append((i, ValueError(f"task returned non-indicator {value!r}")))
-                return
-            results[i] = as_int
 
     workers = max(1, int(workers))
     if workers == 1:
-        run_indices(range(reps))
+        run_blocks(range(n_blocks))
     else:
-        chunks = [range(k, reps, workers) for k in range(workers)]
+        chunks = [range(k, n_blocks, workers) for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_indices, chunks))
-    if failure:
-        index, cause = min(failure, key=lambda pair: pair[0])
-        raise ReplicationError(index, cause)
+            list(pool.map(run_blocks, chunks))
+    if failures:
+        raise ReplicationError(*min(failures, key=lambda pair: pair[0]))
+    for b, block in enumerate(blocks):
+        if block.shape[1:] != blocks[0].shape[1:]:
+            raise ReplicationError(b * block_size, ValueError(
+                f"task returned width {block.shape[1:]}, block 0 {blocks[0].shape[1:]}"))
 
-    count = int(results.sum())
-    estimate = count / reps
+    results = np.concatenate(blocks)
+    counts = tuple(int(c) for c in results.reshape(reps, -1).sum(axis=0))
+    estimate = counts[0] / reps
     summary = McSummary(estimate=estimate, mc_se=mc_se(estimate, reps),
                         reps=reps, master_seed=seed_plan.master_seed)
     return RunReport(summary=summary,
                      wall_seconds=time.perf_counter() - t0,
                      config=dict(config or {}),
-                     indicators=results.copy() if log_indicators else None)
+                     indicators=results if log_indicators else None,
+                     counts=counts)

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .distributions import dirichlet_flat_sample
-from .mc_harness import McSummary, SeedPlan, mc_se
+from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
 
 NSD_TOL = 1e-7
 
@@ -412,29 +412,12 @@ def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
                     master_seed=0, workers=1) -> Type1Result:
     """Simulated type I error of the curvature test: the fraction of
     samples whose posterior NSD probability falls at or below alpha."""
-    if reps < 1:
-        raise ValueError("need reps >= 1")
-    plan = SeedPlan.coerce(master_seed)
-    reject = np.full(reps, -1, dtype=np.int64)
-    mono = np.full(reps, -1, dtype=np.int64)
+    def one_rep(_, rng):
+        data = simulate_dataset(dgp, rng)
+        post = posterior_prob_nsd(data, draws=draws, rng=rng).estimate
+        return [[post <= alpha, monotone_at_unit(ols_fit(data))]]
 
-    def run_indices(indices):
-        for i in indices:
-            rng = plan.stream(i)
-            data = simulate_dataset(dgp, rng)
-            post = posterior_prob_nsd(data, draws=draws, rng=rng).estimate
-            reject[i] = 1 if post <= alpha else 0
-            mono[i] = 1 if monotone_at_unit(ols_fit(data)) else 0
-
-    if workers <= 1:
-        run_indices(range(reps))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = [range(k, reps, workers) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(run_indices, c) for c in chunks]:
-                fut.result()
-    rate = float(reject.sum()) / reps
-    summary = McSummary(estimate=rate, mc_se=mc_se(rate, reps), reps=reps,
-                        master_seed=plan.master_seed)
-    return Type1Result(rejection=summary, monotonicity_rate=float(mono.sum()) / reps)
+    report = run_replications(one_rep, reps, SeedPlan.coerce(master_seed),
+                              workers=workers, block_size=1)
+    return Type1Result(rejection=report.summary,
+                       monotonicity_rate=report.counts[1] / reps)

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the code paths used by the package:
 normal CDF/quantile via mpmath's erfc and bisection, the beta CDF via a
-binomial sum over math.comb, rejection probabilities via high-precision
-root finding on the posterior formula, definiteness via eigenvalues, and
-Hessians via finite differences.  Tests compare package outputs against
+binomial sum over math.comb, the bivariate normal CDF via mpmath
+quadrature of a one-dimensional integral, rejection probabilities via
+high-precision root finding on the posterior formula, definiteness via
+eigenvalues, and Hessians via finite differences.  Tests compare package outputs against
 these, so a bug in a shared dependency cannot cancel itself out.
 """
 
@@ -112,6 +113,38 @@ def oracle_signagree_posterior(x, cov):
     x = np.asarray(x, dtype=float)
     dist = multivariate_normal(mean=np.zeros(2), cov=np.asarray(cov, dtype=float))
     return float(dist.cdf(-x) + dist.cdf(x))
+
+
+def oracle_bivariate_normal_cdf_quad(u, v, rho):
+    """Pr(Z1 <= u, Z2 <= v) for standard normals with correlation |rho| < 1,
+    by mpmath quadrature of phi(z) Phi((v - rho z) / sqrt(1 - rho^2)) over
+    z <= u.  The inner factor steps from 1 to 0 around z = v / rho within a
+    few sqrt(1 - rho^2) / |rho|, so the range is split there."""
+    with mpmath.workdps(20):
+        u, v, rho = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - rho ** 2)
+
+        def integrand(z):
+            return mpmath.npdf(z) * mpmath.ncdf((v - rho * z) / s)
+
+        points = [-mpmath.inf]
+        if rho != 0:
+            step, width = v / rho, 4 * s / abs(rho)
+            points += [p for p in (step - width, step, step + width) if p < u]
+        return float(mpmath.quad(integrand, points + [u]))
+
+
+def oracle_signagree_posterior_quad(x, cov):
+    """Pr(theta1 * theta2 >= 0) for theta ~ N(x, cov) with a nonsingular
+    2 x 2 cov: the both-negative and both-positive masses, each a
+    standardized bivariate normal CDF by quadrature."""
+    x = np.asarray(x, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    sd = np.sqrt(np.diag(cov))
+    rho = cov[0, 1] / (sd[0] * sd[1])
+    u, v = -x / sd
+    return (oracle_bivariate_normal_cdf_quad(u, v, rho)
+            + oracle_bivariate_normal_cdf_quad(-u, -v, rho))
 
 
 # ---------------------------------------------------------------------------

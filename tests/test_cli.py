@@ -31,6 +31,7 @@ from ineqtest.cli import (
 )
 from ineqtest.distributions import std_normal_quantile
 from ineqtest.limit_experiment import (
+    _REPS_PER_BLOCK,
     Box,
     Complement,
     HalfSpace,
@@ -342,6 +343,24 @@ class TestCmdLimit:
         assert row["method"] == "exact"
         assert row["value"] == pytest.approx(0.05, abs=1e-12)
         assert row["mc_se"] == 0.0
+
+    @pytest.mark.parametrize("region,theta", [("interval:[-1,0]", "0"),
+                                              ("box:0..inf,0..inf", "0,0"),
+                                              ("box:-1..1,0..inf", "0.5,0"),
+                                              ("signagree", "0,0")])
+    @pytest.mark.parametrize("reps", [_REPS_PER_BLOCK // 3, _REPS_PER_BLOCK,
+                                      2 * _REPS_PER_BLOCK + 452])
+    def test_stdout_identical_across_workers(self, capsys, region, theta, reps):
+        # reps below, equal to and not a multiple of the block size
+        outputs = []
+        for workers in ("1", "2", "7"):
+            code = main(["--command", "limit", "--region", region, "--theta", theta,
+                         "--alpha", "0.05,0.1", "--reps", str(reps), "--seed", "17",
+                         "--workers", workers])
+            assert code == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count("\n") == 3
 
     def test_interval_runs_mc(self):
         result = cmd_limit(RunConfig(command="limit", region="interval:[-1,0]",

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_beta_cdf_int, oracle_normal_cdf, oracle_normal_quantile
-from ineqtest.distributions import (STANDARD_NORMAL, CovarianceMatrix,
-                                    SymmetricLocationFamily, beta_cdf,
-                                    beta_quantile, dirichlet_flat_sample,
-                                    mvn_sample, std_normal_cdf, std_normal_pdf,
+from conftest import (oracle_beta_cdf_int, oracle_bivariate_normal_cdf_quad,
+                      oracle_normal_cdf, oracle_normal_quantile)
+from ineqtest.distributions import (CovarianceMatrix, beta_cdf, beta_quantile,
+                                    bivariate_normal_cdf,
+                                    dirichlet_flat_sample, mvn_sample,
+                                    std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
 
 
@@ -121,15 +122,40 @@ class TestDirichlet:
             dirichlet_flat_sample(0, rng)
 
 
-class TestFamily:
-    def test_standard_normal_singleton(self):
-        assert STANDARD_NORMAL.name == "standard_normal"
-        assert STANDARD_NORMAL.cdf(0.3) == std_normal_cdf(0.3)
-        assert STANDARD_NORMAL.quantile(0.7) == std_normal_quantile(0.7)
+class TestBivariateNormalCdf:
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.7, 0.99])
+    @pytest.mark.parametrize("h,k", [(0.0, 1.3), (0.0, -1.3), (-0.7, 0.0), (0.5, -0.2),
+                                     (-2.0, -3.0), (2.5, 1.0)])
+    def test_matches_quadrature_oracle(self, h, k, rho):
+        assert float(bivariate_normal_cdf(h, k, rho)) == pytest.approx(
+            oracle_bivariate_normal_cdf_quad(h, k, rho), abs=1e-12)
 
-    def test_unknown_family_rejected(self):
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.7, 0.99])
+    def test_origin_limit(self, rho):
+        want = 0.25 + np.arcsin(rho) / (2 * np.pi)
+        assert float(bivariate_normal_cdf(0.0, 0.0, rho)) == want
+        assert float(bivariate_normal_cdf(-0.0, 0.0, rho)) == want
+
+    def test_independent_is_product(self):
+        h = np.array([-1.0, 0.0, 0.3, 2.0])
+        k = np.array([0.5, -0.4, 0.0, 1.0])
+        np.testing.assert_allclose(bivariate_normal_cdf(h, k, 0.0),
+                                   std_normal_cdf(h) * std_normal_cdf(k), rtol=0, atol=1e-15)
+
+    def test_continuous_across_zero_coordinates(self):
+        for rho in (-0.8, 0.6):
+            for k in (-1.1, 0.9):
+                at_zero = float(bivariate_normal_cdf(0.0, k, rho))
+                for h in (-1e-9, 1e-9):
+                    assert float(bivariate_normal_cdf(h, k, rho)) == pytest.approx(at_zero,
+                                                                                  abs=1e-9)
+                    assert float(bivariate_normal_cdf(k, h, rho)) == pytest.approx(at_zero,
+                                                                                  abs=1e-9)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
+    def test_rejects_unit_correlation(self, rho):
         with pytest.raises(ValueError):
-            SymmetricLocationFamily(name="cauchy")
+            bivariate_normal_cdf(0.1, 0.2, rho)
 
 
 class TestCovariance:

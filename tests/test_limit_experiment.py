@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     oracle_interval_rp,
     oracle_normal_cdf,
+    oracle_signagree_posterior_quad,
     three_se,
 )
 from ineqtest.distributions import CovarianceMatrix, std_normal_cdf, std_normal_quantile
@@ -289,7 +290,95 @@ class TestRegionPosterior:
         x = np.array([0.4, 0.3])
         got = posterior_prob_region(SignAgreement(), x, exp, draws=80_000, rng=rng)
         want = oracle_signagree_posterior(x, cov.entries)
-        assert abs(got.estimate - want) < 3 * got.mc_se
+        assert got.mc_se == 0.0
+        assert got.estimate == pytest.approx(want, abs=1e-12)
+
+    def test_complement_mc_duality_with_correlated_box(self):
+        # the Monte Carlo branch: a complement is counted on its inner
+        # region's draws, so the two estimates sum to exactly one
+        box = Box(lower=np.zeros(2), upper=np.full(2, np.inf))
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.4))
+        x = np.array([0.2, 0.1])
+        a = posterior_prob_region(box, x, exp, draws=5000, rng=np.random.default_rng(5))
+        b = posterior_prob_region(Complement(inner=box), x, exp, draws=5000,
+                                  rng=np.random.default_rng(5))
+        assert a.mc_se > 0.0
+        assert a.estimate + b.estimate == 1.0
+
+
+def _cov2(sd1, sd2, rho):
+    return CovarianceMatrix(np.array([[sd1 * sd1, rho * sd1 * sd2],
+                                      [rho * sd1 * sd2, sd2 * sd2]]))
+
+
+class TestSignAgreementPosterior:
+    """The exact sign-agreement posterior against mpmath quadrature."""
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.7, 0.99])
+    @pytest.mark.parametrize("x", [(0.4, -0.3), (-1.2, -0.7), (0.0, 0.8),
+                                   (-0.5, 0.0), (0.0, 0.0)])
+    def test_matches_quadrature_oracle(self, rho, x):
+        cov = _cov2(1.5, 0.6, rho)
+        got = posterior_prob_region(SignAgreement(), x, Experiment(cov=cov))
+        assert got.mc_se == 0.0
+        assert got.estimate == pytest.approx(
+            oracle_signagree_posterior_quad(x, cov.entries), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.99, 0.7])
+    def test_complement_matches_quadrature_oracle(self, rho):
+        cov = _cov2(0.8, 2.0, rho)
+        x = (0.3, 0.0)
+        got = posterior_prob_region(Complement(inner=SignAgreement()), x,
+                                    Experiment(cov=cov)).estimate
+        assert got == pytest.approx(1.0 - oracle_signagree_posterior_quad(x, cov.entries),
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("cov", [
+        [[1.0, -1.0], [-1.0, 1.0]],    # rho = -1
+        [[4.0, 2.0], [2.0, 1.0]],      # rho = +1, unequal variances
+        [[1.0, 0.0], [0.0, 0.0]],      # a degenerate coordinate
+    ])
+    def test_singular_covariance_takes_monte_carlo(self, cov):
+        exp = Experiment(cov=CovarianceMatrix(np.array(cov)))
+        x = np.array([0.3, -0.2])
+        with pytest.raises(ValueError, match="rng"):
+            posterior_prob_region(SignAgreement(), x, exp)
+        got = posterior_prob_region(SignAgreement(), x, exp, draws=400,
+                                    rng=np.random.default_rng(1))
+        assert got.mc_se > 0.0
+        hits = rejection_probability(SignAgreement(), [0.0, 0.0], exp, alpha=0.05,
+                                     reps=30, draws=50, master_seed=3)
+        assert 0.0 <= hits.estimate <= 1.0
+
+
+class TestVectorizedPosterior:
+    """Every row of a block evaluation equals the one-observation call bit
+    for bit, so a decision never depends on the block it falls in."""
+
+    CASES = [
+        (LowerHalfLine(0.3), Experiment.scalar(2.0)),
+        (HalfSpace(c=np.array([1.0, -2.0]), c0=0.5),
+         Experiment(cov=CovarianceMatrix(np.array([[1.5, 0.2], [0.2, 0.8]])))),
+        (IntervalUnion(intervals=((-2.0, -1.0), (0.0, 0.5))), Experiment.scalar(0.7)),
+        (Box(lower=np.array([0.0, -1.0, -np.inf]), upper=np.array([np.inf, 1.0, 2.0])),
+         Experiment(cov=CovarianceMatrix(np.diag([4.0, 1.0, 0.25])))),
+        (Complement(inner=Box.orthant(2)), Experiment.identity(2)),
+        (SignAgreement(), Experiment(cov=_cov2(1.5, 0.6, -0.99))),
+        (Complement(inner=SignAgreement()), Experiment(cov=_cov2(1.0, 3.0, 0.4))),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_rows_equal_scalar_calls(self, case):
+        from ineqtest.limit_experiment import _closed_form_posterior
+
+        region, exp = self.CASES[case]
+        x = np.random.default_rng(case).normal(0.0, 1.5, size=(64, exp.dim))
+        x[:8, 0] = 0.0
+        x[4:12, -1] = 0.0
+        block = _closed_form_posterior(region, x, exp)
+        assert block.shape == (64,)
+        scalar = [posterior_prob_region(region, row, exp).estimate for row in x]
+        assert block.tolist() == scalar
 
 
 class TestKlineOrthantPosterior:
@@ -406,6 +495,30 @@ class TestRejectionProbability:
                                       master_seed=7, workers=w)
                 for w in (1, 3)]
         assert runs[0].estimate == runs[1].estimate
+
+    def test_block_sampling_scheme(self):
+        # block b of _REPS_PER_BLOCK replications draws its observations
+        # in one call on stream(b)
+        from ineqtest.distributions import mvn_sample
+        from ineqtest.limit_experiment import _REPS_PER_BLOCK
+
+        region = IntervalUnion(intervals=((-1.0, 0.0),))
+        exp = Experiment.scalar()
+        reps = 2 * _REPS_PER_BLOCK + 37
+        plan = SeedPlan(12)
+        hits = 0
+        for b, first in enumerate(range(0, reps, _REPS_PER_BLOCK)):
+            x = mvn_sample(np.zeros(1), exp.cov, plan.stream(b),
+                           size=min(_REPS_PER_BLOCK, reps - first))
+            hits += sum(posterior_prob_region(region, row, exp).estimate <= 0.05 for row in x)
+        got = rejection_probability(region, [0.0], exp, alpha=0.05, reps=reps,
+                                    master_seed=12, workers=2)
+        assert got.estimate == hits / reps
+
+    def test_alpha_validated(self):
+        with pytest.raises(ValueError):
+            rejection_probability(SignAgreement(), [0.0, 0.0], Experiment.identity(2),
+                                  alpha=1.0, reps=10)
 
     def test_method_validated(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Replication engine: determinism, reduction exactness, failure policy."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -152,3 +154,121 @@ class TestRunReplications:
         one = run_replications(task, 64, SeedPlan(5), workers=1, log_indicators=True)
         many = run_replications(task, 64, SeedPlan(5), workers=8, log_indicators=True)
         assert np.array_equal(one.indicators, many.indicators)
+
+
+class TestBlocks:
+    """Block tasks: block b of block_size replications reads stream(b)."""
+
+    def test_block_b_reads_stream_b(self):
+        seen = {}
+
+        def task(indices, rng):
+            seen[int(indices[0])] = (indices.tolist(), rng.random())
+            return np.zeros(indices.size, dtype=int)
+
+        report = run_replications(task, 10, SeedPlan(4), block_size=4)
+        assert report.summary.reps == 10
+        assert sorted(seen) == [0, 4, 8]
+        for b, first in enumerate((0, 4, 8)):
+            indices, draw = seen[first]
+            assert indices == list(range(first, min(first + 4, 10)))
+            assert draw == SeedPlan(4).stream(b).random()
+
+    @pytest.mark.parametrize("reps", [5, 16, 37])
+    def test_worker_count_invariance(self, reps):
+        def task(indices, rng):
+            return rng.random(indices.size) < 0.4
+
+        runs = [run_replications(task, reps, SeedPlan(8), workers=w, block_size=16,
+                                 log_indicators=True) for w in (1, 2, 7)]
+        for run in runs[1:]:
+            assert np.array_equal(run.indicators, runs[0].indicators)
+            assert run.summary == runs[0].summary
+
+    def test_many_threads_with_fast_switching(self):
+        # more workers than cores and a short switch interval: every block
+        # still lands in its own slot, and the lowest failure still wins
+        def task(indices, rng):
+            return rng.random(indices.size) < 0.5
+
+        def failing(indices, rng):
+            if indices[0] % 30 == 0 and indices[0] >= 90:
+                raise RuntimeError("boom")
+            return task(indices, rng)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial = run_replications(task, 600, SeedPlan(9), block_size=3,
+                                      log_indicators=True)
+            threaded = run_replications(task, 600, SeedPlan(9), workers=16, block_size=3,
+                                        log_indicators=True)
+            with pytest.raises(ReplicationError) as err:
+                run_replications(failing, 600, SeedPlan(9), workers=16, block_size=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.indicators, threaded.indicators)
+        assert err.value.index == 90
+
+    def test_two_columns_logged_and_counted(self):
+        def task(indices, rng):
+            return np.column_stack([indices % 2 == 0, indices % 3 == 0])
+
+        report = run_replications(task, 30, SeedPlan(0), workers=3, block_size=7,
+                                  log_indicators=True)
+        assert report.indicators.shape == (30, 2)
+        assert report.indicators.dtype == np.int64
+        assert report.counts == (15, 10)
+        assert report.summary.estimate == 0.5
+
+    def test_scalar_task_is_block_of_one(self):
+        def scalar(i, rng):
+            return rng.random() < 0.5
+
+        def block(indices, rng):
+            return [scalar(int(indices[0]), rng)]
+
+        a = run_replications(scalar, 40, SeedPlan(2), log_indicators=True)
+        b = run_replications(block, 40, SeedPlan(2), block_size=1, log_indicators=True)
+        assert np.array_equal(a.indicators, b.indicators)
+        assert a.counts == b.counts
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_lowest_failing_block_wins(self, workers):
+        def task(indices, rng):
+            if indices[0] in (24, 40, 56):
+                raise RuntimeError("boom")
+            return np.zeros(indices.size, dtype=int)
+
+        with pytest.raises(ReplicationError) as err:
+            run_replications(task, 70, SeedPlan(0), workers=workers, block_size=8)
+        assert err.value.index == 24
+        assert isinstance(err.value.cause, RuntimeError)
+
+    @pytest.mark.parametrize("result", [
+        lambda n: np.full(n, 2),                   # not an indicator
+        lambda n: np.full(n, 0.5),
+        lambda n: np.full(n, np.nan),
+        lambda n: np.array(["1"] * n),
+        lambda n: np.zeros(n + 1, dtype=int),      # wrong number of rows
+        lambda n: np.zeros((n, 2, 2), dtype=int),  # wrong rank
+        lambda n: np.zeros((n, 0), dtype=int),     # no columns
+        lambda n: np.int64(1),
+    ])
+    def test_bad_block_results_refused(self, result):
+        with pytest.raises(ReplicationError) as err:
+            run_replications(lambda indices, rng: result(indices.size), 10, SeedPlan(0),
+                             block_size=4)
+        assert err.value.index == 0
+
+    def test_varying_width_refused(self):
+        def task(indices, rng):
+            return np.zeros((indices.size, 1 if indices[0] < 8 else 2), dtype=int)
+
+        with pytest.raises(ReplicationError) as err:
+            run_replications(task, 20, SeedPlan(0), block_size=4)
+        assert err.value.index == 8
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(ValueError):
+            run_replications(lambda indices, rng: indices * 0, 5, SeedPlan(0), block_size=0)

@@ -478,3 +478,17 @@ class TestType1ErrorSim:
     def test_reps_validated(self):
         with pytest.raises(ValueError):
             type1_error_sim(TranslogDgp(), alpha=0.05, reps=0)
+
+    def test_replication_i_reads_stream_i(self):
+        # both indicators of replication i come from SeedPlan.stream(i) alone
+        dgp = TranslogDgp(n=40, sigma_eps=0.4)
+        plan = SeedPlan(5)
+        reject = mono = 0
+        for i in range(6):
+            rng = plan.stream(i)
+            data = simulate_dataset(dgp, rng)
+            reject += posterior_prob_nsd(data, draws=30, rng=rng).estimate <= 0.1
+            mono += monotone_at_unit(ols_fit(data))
+        out = type1_error_sim(dgp, alpha=0.1, reps=6, draws=30, master_seed=5, workers=2)
+        assert out.rejection.estimate == reject / 6
+        assert out.monotonicity_rate == mono / 6
