@@ -68,6 +68,7 @@ from .stochastic_dominance import (
 from .translog import (
     FreeParams,
     Hessian3,
+    NsdPosterior,
     RankDeficientError,
     TranslogData,
     TranslogDgp,
@@ -92,7 +93,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ACCEPT", "BANKS", "Box", "Complement", "CovarianceMatrix", "Experiment",
     "FreeParams", "HalfSpace", "Hessian3", "IntervalUnion", "LowerHalfLine",
-    "McSummary", "PiecewiseLinearCdf", "Predicate", "RUBIN",
+    "McSummary", "NsdPosterior", "PiecewiseLinearCdf", "Predicate", "RUBIN",
     "RankDeficientError", "REJECT", "ReferenceCdf", "ReplicationError",
     "RunReport", "SdConfig", "SeedPlan", "SignAgreement", "SizeResult",
     "StepCdf", "TranslogData", "TranslogDgp", "TranslogParams", "Type1Result",

@@ -227,9 +227,6 @@ class Experiment:
     def sample(self, theta, rng, size=None):
         return mvn_sample(theta, self.cov, rng, size=size)
 
-    def posterior_sample(self, x, rng, size=None):
-        return mvn_sample(x, self.cov, rng, size=size)
-
 
 # ---------------------------------------------------------------------------
 # posterior probabilities
@@ -330,7 +327,7 @@ def posterior_prob_region(region, x, exp: Experiment, draws=2000, rng=None) -> M
         raise ValueError("need draws >= 1")
     if rng is None:
         raise ValueError("Monte Carlo branch needs an rng")
-    theta_draws = exp.posterior_sample(np.atleast_1d(np.asarray(x, dtype=float)), rng, size=draws)
+    theta_draws = exp.sample(np.atleast_1d(np.asarray(x, dtype=float)), rng, size=draws)
     hits = np.asarray(region.contains(theta_draws), dtype=bool)
     p = float(hits.mean())
     return McSummary(estimate=p, mc_se=mc_se(p, draws), reps=int(draws), master_seed=None)

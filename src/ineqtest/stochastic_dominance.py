@@ -110,14 +110,12 @@ class SdConfig:
     bootstrap: "rubin" (weighted step CDF) or "banks" (weights spread
         linearly between order statistics, endpoint atoms at the sample
         min and max, no tail extrapolation).
-    grid: evaluation rule; "pooled" uses the union of sample points.
     tol: dominance slack added to the opposing CDF (default 0).
     dd_boot: bootstrap replicates for the two-sample min-t p-value.
     """
 
     draws: int = 2000
     bootstrap: str = BANKS
-    grid: str = "pooled"
     tol: float = 0.0
     dd_boot: int = 999
 
@@ -126,8 +124,6 @@ class SdConfig:
             raise ValueError("draws must be >= 1")
         if self.bootstrap not in (RUBIN, BANKS):
             raise ValueError(f"unknown bootstrap variant {self.bootstrap!r}")
-        if self.grid != "pooled":
-            raise ValueError(f"unknown grid rule {self.grid!r}")
 
 
 # ---------------------------------------------------------------------------

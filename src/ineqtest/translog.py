@@ -273,37 +273,37 @@ class TranslogDgp:
 @dataclass(frozen=True)
 class TranslogData:
     """One simulated sample: raw log regressors and the normalized
-    log-cost response ln(C / w3)."""
+    log-cost response ln(C / w3).  ``design`` is the read-only 10-column
+    normalized design matrix of these regressors, built once here."""
 
     ln_y: np.ndarray
     ln_w: np.ndarray
     response: np.ndarray
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = np.asarray(self.ln_y).size
-        if np.asarray(self.ln_w).shape != (n, 3) or np.asarray(self.response).shape != (n,):
-            raise ValueError("inconsistent sample shapes")
-
-    @property
-    def design(self):
-        """The 10-column normalized design matrix for these draws."""
         ly = np.asarray(self.ln_y, dtype=float)
         lw = np.asarray(self.ln_w, dtype=float)
+        if lw.shape != (ly.size, 3) or np.asarray(self.response).shape != (ly.size,):
+            raise ValueError("inconsistent sample shapes")
         z1 = lw[:, 0] - lw[:, 2]
         z2 = lw[:, 1] - lw[:, 2]
-        one = np.ones_like(ly)
-        return np.column_stack([one, ly, 0.5 * ly * ly, ly * z1, ly * z2,
-                                z1, z2, 0.5 * z1 * z1, z1 * z2, 0.5 * z2 * z2])
+        design = np.column_stack([np.ones_like(ly), ly, 0.5 * ly * ly, ly * z1, ly * z2,
+                                  z1, z2, 0.5 * z1 * z1, z1 * z2, 0.5 * z2 * z2])
+        design.setflags(write=False)
+        object.__setattr__(self, "design", design)
 
 
 def simulate_dataset(dgp: TranslogDgp, rng) -> TranslogData:
     ln_y = rng.normal(0.0, dgp.sigma_x, dgp.n)
     ln_w = rng.normal(0.0, dgp.sigma_x, (dgp.n, 3))
-    data = TranslogData(ln_y=ln_y, ln_w=ln_w, response=np.zeros(dgp.n))
-    response = data.design @ dgp.free.as_vector()
+    response = np.empty(dgp.n)
+    data = TranslogData(ln_y=ln_y, ln_w=ln_w, response=response)
+    # the response is filled in place, so the design is built only once
+    np.matmul(data.design, dgp.free.as_vector(), out=response)
     if dgp.sigma_eps > 0:
-        response = response + rng.normal(0.0, dgp.sigma_eps, dgp.n)
-    return TranslogData(ln_y=ln_y, ln_w=ln_w, response=response)
+        response += rng.normal(0.0, dgp.sigma_eps, dgp.n)
+    return data
 
 
 def weighted_fit(data: TranslogData, weights) -> FreeParams:
@@ -338,74 +338,114 @@ def monotone_at_unit(free: FreeParams) -> bool:
 # Bayesian bootstrap posterior and the type I error simulation
 
 _MAX_REDRAWS = 10
+# OpenBLAS's default threshold: a GEMM of at most 2**18 multiply-adds
+# runs on the calling thread alone
+_GEMM_ELEMS = 1 << 18
+
+
+def _product_table(data: TranslogData):
+    """(n, 110) table: each observation's 100 products x_j x_k, row-major
+    in (j, k), then its 10 products x_j y."""
+    x = data.design
+    return np.hstack([(x[:, :, None] * x[:, None, :]).reshape(len(x), 100),
+                      x * data.response[:, None]])
+
+
+def _normal_equations(table, wmat):
+    """X'WX, shape (draws, 10, 10), and X'Wy, shape (draws, 10), for each
+    row of weights in ``wmat``: one matrix product against the table, of
+    which X'WX is a reshaped view."""
+    g = np.empty((wmat.shape[0], table.shape[1]))
+    step = max(1, _GEMM_ELEMS // table.size)
+    for lo in range(0, g.shape[0], step):
+        np.matmul(wmat[lo:lo + step], table, out=g[lo:lo + step])
+    return g[:, :100].reshape(-1, 10, 10), g[:, 100:]
 
 
 def _posterior_free_rows(data: TranslogData, draws, rng):
-    """(draws, 10) Dirichlet-weighted least-squares coefficient rows.
+    """(draws, 10) Dirichlet-weighted least-squares coefficient rows, and
+    the number of draws that had to be redrawn.
 
-    Draws whose weighted normal equations are singular (possible in
-    principle at extreme weights) are redrawn, at most _MAX_REDRAWS times
-    each, then reported as an error.
+    The weighted normal equations of every draw come from one product of
+    the (draws, n) weights with ``_product_table``, which is built once
+    per dataset.  The table holds both triangles of x x', not only the 55
+    distinct products, so X'WX needs no scatter into a second buffer: the
+    product's (draws, 110) result is the only array it adds.
+
+    The product runs in row blocks of at most ``_GEMM_ELEMS``
+    multiply-adds.  A larger product can make OpenBLAS start its own
+    threads (a 200-draw one at n = 100 does), and inside the replication
+    worker pool those oversubscribe the cores and cost more than they
+    save.
+
+    A draw is singular when its solve fails, gives a non-finite row, or
+    has fewer than ten positive weights (then X'WX has rank below ten even
+    where rounding hides it).  Each singular draw is redrawn, at most
+    _MAX_REDRAWS times, then reported as an error; the other rows keep
+    their values.
     """
-    x = data.design
-    yv = data.response
-    n = x.shape[0]
+    table = _product_table(data)
+    n = table.shape[0]
 
     def solve_rows(wmat):
-        xtwx = np.einsum("si,ij,ik->sjk", wmat, x, x)
-        xtwy = np.einsum("si,ij,i->sj", wmat, x, yv)
-        return np.linalg.solve(xtwx, xtwy[..., None])[..., 0]
+        xtwx, xtwy = _normal_equations(table, wmat)
+        try:
+            rows = np.linalg.solve(xtwx, xtwy[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            rows = np.full(xtwy.shape, np.nan)
+            for i in range(len(rows)):
+                try:
+                    rows[i] = np.linalg.solve(xtwx[i], xtwy[i])
+                except np.linalg.LinAlgError:
+                    pass
+        if wmat.min() <= 0.0:
+            rows[np.count_nonzero(wmat, axis=1) < 10] = np.nan
+        return rows
 
-    wmat = dirichlet_flat_sample(n, rng, size=draws)
-    try:
-        rows = solve_rows(wmat)
-        if np.all(np.isfinite(rows)):
-            return rows
-        bad = ~np.all(np.isfinite(rows), axis=1)
-    except np.linalg.LinAlgError:
-        rows = np.empty((draws, 10))
-        bad = np.ones(draws, dtype=bool)
-        for i in range(draws):
-            try:
-                rows[i] = solve_rows(wmat[i:i + 1])[0]
-                bad[i] = not np.all(np.isfinite(rows[i]))
-            except np.linalg.LinAlgError:
-                bad[i] = True
-    for i in np.where(bad)[0]:
-        for attempt in range(_MAX_REDRAWS):
-            wi = dirichlet_flat_sample(n, rng, size=1)
-            try:
-                cand = solve_rows(wi)[0]
-            except np.linalg.LinAlgError:
-                continue
+    rows = solve_rows(dirichlet_flat_sample(n, rng, size=draws))
+    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    for i in bad:
+        for _ in range(_MAX_REDRAWS):
+            cand = solve_rows(dirichlet_flat_sample(n, rng, size=1))[0]
             if np.all(np.isfinite(cand)):
                 rows[i] = cand
                 break
         else:
             raise RankDeficientError(
                 f"posterior draw {i} rank-deficient after {_MAX_REDRAWS} redraws")
-    return rows
+    return rows, bad.size
 
 
-def posterior_prob_nsd(data: TranslogData, draws=200, rng=None) -> McSummary:
+@dataclass(frozen=True)
+class NsdPosterior(McSummary):
+    """The NSD posterior probability, with the number of its draws that
+    were singular and redrawn."""
+
+    redraws: int
+
+
+def posterior_prob_nsd(data: TranslogData, draws=200, rng=None) -> NsdPosterior:
     """Posterior probability that the unit-point Hessian is NSD, under
     the flat Dirichlet weighting posterior for the coefficients."""
     if draws < 1:
         raise ValueError("need draws >= 1")
     if rng is None:
         rng = SeedPlan(0).stream(0)
-    rows = _posterior_free_rows(data, draws, rng)
+    rows, redraws = _posterior_free_rows(data, draws, rng)
     p = float(_nsd_flags_from_free(rows).mean())
-    return McSummary(estimate=p, mc_se=mc_se(p, draws), reps=draws, master_seed=None)
+    return NsdPosterior(estimate=p, mc_se=mc_se(p, draws), reps=draws, master_seed=None,
+                        redraws=redraws)
 
 
 @dataclass(frozen=True)
 class Type1Result:
-    """Rejection-rate summary plus the share of replications whose point
-    estimate was locally monotone at the unit point."""
+    """Rejection-rate summary, the share of replications whose point
+    estimate was locally monotone at the unit point, and the number of
+    replications that redrew at least one singular posterior draw."""
 
     rejection: McSummary
     monotonicity_rate: float
+    redrawn_reps: int
 
 
 def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
@@ -414,10 +454,11 @@ def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
     samples whose posterior NSD probability falls at or below alpha."""
     def one_rep(_, rng):
         data = simulate_dataset(dgp, rng)
-        post = posterior_prob_nsd(data, draws=draws, rng=rng).estimate
-        return [[post <= alpha, monotone_at_unit(ols_fit(data))]]
+        post = posterior_prob_nsd(data, draws=draws, rng=rng)
+        return [[post.estimate <= alpha, monotone_at_unit(ols_fit(data)), post.redraws > 0]]
 
     report = run_replications(one_rep, reps, SeedPlan.coerce(master_seed),
                               workers=workers, block_size=1)
     return Type1Result(rejection=report.summary,
-                       monotonicity_rate=report.counts[1] / reps)
+                       monotonicity_rate=report.counts[1] / reps,
+                       redrawn_reps=report.counts[2])

@@ -121,8 +121,6 @@ class TestSdConfig:
             SdConfig(draws=0)
         with pytest.raises(ValueError):
             SdConfig(bootstrap="jackknife")
-        with pytest.raises(ValueError):
-            SdConfig(grid="dense")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fd_cost_hessian, oracle_is_nsd_eig
+from ineqtest import translog
+from ineqtest.distributions import dirichlet_flat_sample
 from ineqtest.mc_harness import SeedPlan
 from ineqtest.translog import (
+    _MAX_REDRAWS,
     NSD_TOL,
     FreeParams,
     Hessian3,
@@ -24,7 +27,10 @@ from ineqtest.translog import (
     TranslogDgp,
     TranslogParams,
     Type1Result,
+    _normal_equations,
     _nsd_flags_from_free,
+    _posterior_free_rows,
+    _product_table,
     default_free_params,
     expand_params,
     hessian,
@@ -369,6 +375,15 @@ class TestSimulateAndFit:
             data.design[0],
             [1.0, 1.0, 0.5, 1.0, 2.0, 1.0, 2.0, 0.5, 2.0, 2.0])
 
+    def test_design_built_once_and_read_only(self):
+        data = simulate_dataset(TranslogDgp(n=20), np.random.default_rng(0))
+        assert data.design is data.design
+        assert not data.design.flags.writeable
+        rng = np.random.default_rng(0)
+        ln_y, ln_w = rng.normal(0.0, 3.6, 20), rng.normal(0.0, 3.6, (20, 3))
+        want = TranslogData(ln_y, ln_w, np.zeros(20)).design @ default_free_params(0.001).as_vector()
+        np.testing.assert_array_equal(data.response, want + rng.normal(0.0, 0.5, 20))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TranslogData(ln_y=np.zeros(3), ln_w=np.zeros((2, 3)),
@@ -450,6 +465,112 @@ class TestPosteriorProbNsd:
             posterior_prob_nsd(data, draws=0)
 
 
+class TestNormalEquations:
+    @pytest.mark.parametrize("gemm_elems", [1, translog._GEMM_ELEMS, 10**9])
+    def test_product_table_matches_plain_products(self, monkeypatch, gemm_elems):
+        # one row per product, the default blocks, and one product for all
+        monkeypatch.setattr(translog, "_GEMM_ELEMS", gemm_elems)
+        data = simulate_dataset(TranslogDgp(n=100, sigma_eps=0.3), np.random.default_rng(41))
+        x, y = data.design, data.response
+        w = np.random.default_rng(42).dirichlet(np.ones(100), size=97)
+        xtwx, xtwy = _normal_equations(_product_table(data), w)
+        for s in range(w.shape[0]):
+            want_xx = x.T @ (w[s][:, None] * x)
+            want_xy = x.T @ (w[s] * y)
+            # relative to the sum of the terms' magnitudes, which bounds
+            # the rounding of any summation order
+            assert np.all(np.abs(xtwx[s] - want_xx)
+                          <= 1e-13 * (np.abs(x).T @ (w[s][:, None] * np.abs(x))))
+            assert np.all(np.abs(xtwy[s] - want_xy) <= 1e-13 * (np.abs(x).T @ (w[s] * np.abs(y))))
+
+    def test_rows_match_weighted_fit(self):
+        eps = np.finfo(float).eps
+        near_tol = compared = 0
+        for seed in range(6):
+            data = simulate_dataset(TranslogDgp(n=100, sigma_eps=0.3),
+                                    np.random.default_rng(seed))
+            rows, redraws = _posterior_free_rows(data, 100, SeedPlan(seed).stream(0))
+            assert redraws == 0
+            w = dirichlet_flat_sample(100, SeedPlan(seed).stream(0), size=100)
+            ref = np.array([weighted_fit(data, ws).as_vector() for ws in w])
+            for row, want, ws in zip(rows, ref, w):
+                cond = np.linalg.cond(data.design.T @ (ws[:, None] * data.design))
+                assert np.linalg.norm(row - want) <= 10 * cond * eps * np.linalg.norm(want)
+            # NSD flags agree wherever halving or doubling the tolerance
+            # leaves the reference verdict alone
+            clear = (_nsd_flags_from_free(ref, NSD_TOL / 2)
+                     == _nsd_flags_from_free(ref, 2 * NSD_TOL))
+            np.testing.assert_array_equal(_nsd_flags_from_free(rows)[clear],
+                                          _nsd_flags_from_free(ref)[clear])
+            near_tol += int((~clear).sum())
+            compared += int(clear.sum())
+        assert compared > 550 and near_tol < 50
+
+
+def _singular_sampler(monkeypatch, singular):
+    """Patches translog's Dirichlet sampler: ``singular(w)`` returns, for
+    a (draws, n) weight block, a dict {row: points kept}.  Each such row
+    keeps its weights on its first points only, renormalized.  Returns
+    the list of block sizes requested."""
+    calls = []
+
+    def sampler(n, rng, size=None):
+        w = dirichlet_flat_sample(n, rng, size=size)
+        calls.append(w.shape[0])
+        for row, kept in singular(w).items():
+            w[row, kept:] = 0.0
+            w[row] /= w[row].sum()
+        return w
+
+    monkeypatch.setattr(translog, "dirichlet_flat_sample", sampler)
+    return calls
+
+
+class TestRedraws:
+    @pytest.mark.parametrize("kept", [1, 9])
+    def test_singular_rows_redrawn_others_kept(self, monkeypatch, kept):
+        data = simulate_dataset(TranslogDgp(n=60, sigma_eps=0.3), np.random.default_rng(3))
+        clean, _ = _posterior_free_rows(data, 50, SeedPlan(9).stream(0))
+        calls = _singular_sampler(monkeypatch, lambda w: {3: kept, 7: kept} if len(w) > 1 else {})
+        rows, redraws = _posterior_free_rows(data, 50, SeedPlan(9).stream(0))
+        assert redraws == 2 and calls == [50, 1, 1]
+        others = np.setdiff1d(np.arange(50), [3, 7])
+        np.testing.assert_array_equal(rows[others], clean[others])
+        # the redraws come from the same stream, right after the block
+        rng = SeedPlan(9).stream(0)
+        dirichlet_flat_sample(60, rng, size=50)
+        for i in (3, 7):
+            want = weighted_fit(data, dirichlet_flat_sample(60, rng, size=1)[0]).as_vector()
+            np.testing.assert_allclose(rows[i], want, rtol=1e-9, atol=1e-12)
+
+    def test_always_singular_raises_after_max_redraws(self, monkeypatch):
+        data = simulate_dataset(TranslogDgp(n=60, sigma_eps=0.3), np.random.default_rng(4))
+        calls = _singular_sampler(monkeypatch, lambda w: {r: 5 for r in range(len(w))})
+        with pytest.raises(RankDeficientError):
+            posterior_prob_nsd(data, draws=20, rng=SeedPlan(1).stream(0))
+        assert calls == [20] + [1] * _MAX_REDRAWS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redrawn_reps_counted(self, monkeypatch, workers):
+        dgp = TranslogDgp(n=40, sigma_eps=0.4)
+
+        def first_row_if(w):
+            return {0: 5} if len(w) > 1 and w[0, 0] > w[0, 1] else {}
+
+        want = 0
+        for i in range(12):
+            rng = SeedPlan(6).stream(i)
+            simulate_dataset(dgp, rng)
+            want += bool(first_row_if(dirichlet_flat_sample(40, rng, size=30)))
+        assert 0 < want < 12
+        clean = type1_error_sim(dgp, alpha=0.1, reps=12, draws=30, master_seed=6)
+        assert clean.redrawn_reps == 0
+        _singular_sampler(monkeypatch, first_row_if)
+        out = type1_error_sim(dgp, alpha=0.1, reps=12, draws=30, master_seed=6,
+                              workers=workers)
+        assert out.redrawn_reps == want
+
+
 class TestType1ErrorSim:
     def test_noiseless_dgp_never_rejects(self):
         dgp = TranslogDgp(sigma_eps=0.0, n=60)
@@ -457,6 +578,7 @@ class TestType1ErrorSim:
         assert isinstance(out, Type1Result)
         assert out.rejection.estimate == 0.0
         assert out.monotonicity_rate == 1.0
+        assert out.redrawn_reps == 0
 
     def test_worker_invariance(self):
         dgp = TranslogDgp(n=60, sigma_eps=0.5)
