@@ -14,8 +14,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,84 +48,110 @@ class ConfigError(Exception):
 # configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one CLI invocation.  Unset fields stay None
-    and fall back to per-command defaults."""
-
-    command: str = None
-    seed: int = 0
-    reps: int = None
-    draws: int = None
-    alpha: tuple = None
-    out: str = None
-    format: str = "csv"
-    bootstrap: str = None
-    h: tuple = None
-    n: tuple = None
-    sigma_eps: tuple = None
-    sigma_x: float = None
-    delta: float = None
-    region: str = None
-    theta: tuple = None
-    workers: int = 1
-    dd_boot: int = None
-    x_file: str = None
-    y_file: str = None
-
-
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
-
-
-def _parse_float(text):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
-
-
-def _parse_float_list(text):
-    return tuple(_parse_float(part) for part in str(text).split(","))
-
-
-def _parse_int_list(text):
-    return tuple(_parse_int(part) for part in str(text).split(","))
-
-
-def _parse_choice(allowed):
+def _scalar(convert, check, need):
+    """Parser of one value: ``convert(text)``, which must pass ``check``."""
     def parse(text):
-        if text not in allowed:
-            raise ConfigError(f"invalid value {text!r}; choose one of {', '.join(allowed)}")
-        return text
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not check(value):
+            raise ConfigError(f"expected {need}, got {text!r}")
+        return value
     return parse
 
 
-# key -> parser for the config file; mirrors the flag names
-CONFIG_PARSERS = {
-    "command": _parse_choice(COMMANDS),
-    "seed": _parse_int,
-    "reps": _parse_int,
-    "draws": _parse_int,
-    "alpha": _parse_float_list,
-    "out": str,
-    "format": _parse_choice(FORMATS),
-    "bootstrap": _parse_choice((RUBIN, BANKS)),
-    "h": _parse_float_list,
-    "n": _parse_int_list,
-    "sigma_eps": _parse_float_list,
-    "sigma_x": _parse_float,
-    "delta": _parse_float,
-    "region": str,
-    "theta": _parse_float_list,
-    "workers": _parse_int,
-    "dd_boot": _parse_int,
-    "x_file": str,
-    "y_file": str,
-}
+def _listed(parse):
+    """Parser of a comma-separated list of values, each read by ``parse``."""
+    return lambda text: tuple(parse(part) for part in text.split(","))
+
+
+def _choice(allowed):
+    return _scalar(str, lambda v: v in allowed, f"one of {', '.join(allowed)}")
+
+
+_COUNT = _scalar(int, lambda v: v >= 1, "a positive integer")
+_REAL = _scalar(float, math.isfinite, "a finite number")
+_NONNEG = _scalar(float, lambda v: 0.0 <= v < math.inf, "a finite nonnegative number")
+_LEVEL = _scalar(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
+
+
+def _region_spec(text):
+    parse_region(text)   # fail fast with a config error
+    return text
+
+
+def _file_digest(path):
+    """Sample files enter config_hash by content, so the hash names the
+    data and not the path it was read from."""
+    if path is None:
+        return repr(path)
+    try:
+        with open(path, "rb") as fh:
+            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+
+
+def _option(parse, help, metavar, default=None, hashed=repr):
+    """A RunConfig field with its flag and config-file parser.
+
+    ``parse`` reads the flag or file text and raises ConfigError on bad
+    input; ``hashed`` gives the value's text in config_hash, or is None
+    for a field that leaves the experiment unchanged.
+    """
+    return field(default=default, metadata=dict(parse=parse, help=help, metavar=metavar,
+                                                 hashed=hashed))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved options for one CLI invocation, and the one table of them:
+    each field's flag (--name with - for _), config-file key, parser and
+    place in config_hash come from its metadata.  Unset fields stay None
+    and fall back to per-command defaults.  Hashed fields enter
+    config_hash in field order, so reordering them changes every hash."""
+
+    command: str = _option(_choice(COMMANDS), "what to run (required here or in the "
+                           "config file)", "|".join(COMMANDS))
+    seed: int = _option(_scalar(int, lambda v: v >= 0, "a nonnegative integer"),
+                        "master seed (default 0)", "U64", default=0)
+    reps: int = _option(_COUNT, "Monte Carlo replications", "N")
+    draws: int = _option(_COUNT, "posterior draws per test", "N")
+    alpha: tuple = _option(_listed(_LEVEL), "comma-separated levels", "LIST")
+    out: str = _option(str, "output path (default stdout)", "PATH", hashed=None)
+    format: str = _option(_choice(FORMATS), "output format (default csv)", "|".join(FORMATS),
+                          default="csv", hashed=None)
+    bootstrap: str = _option(_choice((RUBIN, BANKS)),
+                             "bootstrap posterior variant (default banks)", f"{RUBIN}|{BANKS}")
+    h: tuple = _option(_listed(_NONNEG), "local shift values", "LIST")
+    n: tuple = _option(_listed(_COUNT), "sample sizes (kline: dimensions)", "LIST")
+    sigma_eps: tuple = _option(_listed(_NONNEG), "table3 error sds", "LIST")
+    sigma_x: float = _option(_NONNEG, "table3 regressor log sd override", "R")
+    delta: float = _option(_REAL, "table3 curvature slack", "R")
+    region: str = _option(_region_spec, "null region (limit command)", "SPEC")
+    theta: tuple = _option(_listed(_REAL), "parameter point (limit command)", "LIST")
+    workers: int = _option(_COUNT, "worker threads for replications (default 1)", "N",
+                           default=1, hashed=None)
+    dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
+    x_file: str = _option(str, "newline-delimited sample for sd-test", "PATH",
+                          hashed=_file_digest)
+    y_file: str = _option(str, "second sample for sd-test (optional)", "PATH",
+                          hashed=_file_digest)
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _parse_field(name, text, label):
+    try:
+        return _FIELDS[name].metadata["parse"](text)
+    except ConfigError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def parse_config_file(path):
@@ -146,14 +173,18 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key not in CONFIG_PARSERS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = CONFIG_PARSERS[key](val)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        values[key] = _parse_field(key, val.strip(), f"{path}:{lineno}: {key}")
     return values
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports its own errors (unknown flag, missing value) as a
+    ConfigError instead of exiting, so main() returns EXIT_CONFIG."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_arg_parser():
@@ -181,73 +212,31 @@ values.  config_hash covers the experiment-defining fields only, so output
 bytes are invariant to --workers, --out, and --format; sample files enter it
 by their bytes, not their paths.
 """
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ineqtest",
         description="Bayesian and frequentist tests of inequality hypotheses.",
         epilog=schema_doc,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--command", choices=COMMANDS,
-                        help="what to run (required here or in the config file)")
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--seed", type=int, metavar="U64", help="master seed (default 0)")
-    parser.add_argument("--reps", type=int, metavar="N", help="Monte Carlo replications")
-    parser.add_argument("--draws", type=int, metavar="N", help="posterior draws per test")
-    parser.add_argument("--alpha", metavar="LIST", help="comma-separated levels")
-    parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-    parser.add_argument("--bootstrap", choices=(RUBIN, BANKS),
-                        help="bootstrap posterior variant (default banks)")
-    parser.add_argument("--h", metavar="LIST", help="local shift values")
-    parser.add_argument("--n", metavar="LIST", help="sample sizes (kline: dimensions)")
-    parser.add_argument("--sigma-eps", metavar="LIST", help="table3 error sds")
-    parser.add_argument("--sigma-x", type=float, metavar="R",
-                        help="table3 regressor log sd override")
-    parser.add_argument("--delta", type=float, metavar="R", help="table3 curvature slack")
-    parser.add_argument("--region", metavar="SPEC", help="null region (limit command)")
-    parser.add_argument("--theta", metavar="LIST", help="parameter point (limit command)")
-    parser.add_argument("--workers", type=int, metavar="N",
-                        help="worker threads for replications (default 1)")
-    parser.add_argument("--dd-boot", type=int, metavar="N",
-                        help="bootstrap replicates for the dd p-value")
-    parser.add_argument("--x-file", metavar="PATH",
-                        help="newline-delimited sample for sd-test")
-    parser.add_argument("--y-file", metavar="PATH",
-                        help="second sample for sd-test (optional)")
+    for f in _FIELDS.values():
+        parser.add_argument(_flag(f.name), metavar=f.metadata["metavar"],
+                            help=f.metadata["help"])
     return parser
 
 
 def resolve_config(argv) -> RunConfig:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    """Config-file values overridden by flags; every value is read by its
+    field's parser, so a bad one raises ConfigError naming the field."""
+    args = build_arg_parser().parse_args(argv)
     values = parse_config_file(args.config) if args.config else {}
-
-    flag_parsers = {"alpha": _parse_float_list, "h": _parse_float_list,
-                    "sigma_eps": _parse_float_list, "theta": _parse_float_list,
-                    "n": _parse_int_list}
-    for f in fields(RunConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            values[f.name] = flag_parsers.get(f.name, lambda v: v)(flag_val)
-    known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in values.items() if k in known})
-
+    for name in _FIELDS:
+        text = getattr(args, name)
+        if text is not None:
+            values[name] = _parse_field(name, text, _flag(name))
+    cfg = RunConfig(**values)
     if cfg.command is None:
         raise ConfigError("command required (use --command or a config file)")
-    for name in ("reps", "draws", "workers", "dd_boot", "seed"):
-        val = getattr(cfg, name)
-        if val is not None and val < (0 if name == "seed" else 1):
-            raise ConfigError(f"{name} must be positive, got {val}")
-    for name in ("alpha", "h", "sigma_eps"):
-        vals = getattr(cfg, name)
-        if vals is not None and any(v < 0 for v in vals):
-            raise ConfigError(f"{name} values must be nonnegative")
-    if cfg.alpha is not None and any(not 0 < a < 1 for a in cfg.alpha):
-        raise ConfigError("alpha values must lie in (0, 1)")
-    if cfg.n is not None and any(v < 1 for v in cfg.n):
-        raise ConfigError("n values must be positive")
-    if cfg.region is not None:
-        parse_region(cfg.region)   # fail fast with a config error
     return cfg
 
 
@@ -263,6 +252,10 @@ def parse_region(spec):
         raise ConfigError(f"invalid region {spec!r}: {exc}") from exc
 
 
+# region numbers may be infinite (box bounds), but not nan
+_NUMBER = _scalar(float, lambda v: not math.isnan(v), "a number")
+
+
 def _parse_region_inner(spec):
     spec = spec.strip()
     if spec == "signagree":
@@ -274,15 +267,15 @@ def _parse_region_inner(spec):
         coeffs, _, c0 = rest.rpartition(":")
         if not coeffs:
             raise ConfigError(f"halfspace spec needs coefficients and a bound: {spec!r}")
-        return HalfSpace(c=_parse_float_list(coeffs), c0=_parse_float(c0))
+        return HalfSpace(c=_listed(_NUMBER)(coeffs), c0=_NUMBER(c0))
     if kind == "box":
         lowers, uppers = [], []
         for part in rest.split(","):
             lo, sep, hi = part.partition("..")
             if not sep:
                 raise ConfigError(f"box coordinate needs lo..hi, got {part!r}")
-            lowers.append(_parse_float(lo))
-            uppers.append(_parse_float(hi))
+            lowers.append(_NUMBER(lo))
+            uppers.append(_NUMBER(hi))
         return Box(lower=lowers, upper=uppers)
     if kind == "interval":
         intervals = []
@@ -290,7 +283,7 @@ def _parse_region_inner(spec):
             part = part.strip()
             if not (part.startswith("[") and part.endswith("]")):
                 raise ConfigError(f"interval needs [a,b], got {part!r}")
-            endpoints = _parse_float_list(part[1:-1])
+            endpoints = _listed(_NUMBER)(part[1:-1])
             if len(endpoints) != 2:
                 raise ConfigError(f"interval needs two endpoints, got {part!r}")
             intervals.append(tuple(endpoints))
@@ -302,30 +295,9 @@ def _parse_region_inner(spec):
 # output
 
 
-# fields whose values define the experiment (hashed into every row)
-_HASH_FIELDS = ("command", "seed", "reps", "draws", "alpha", "bootstrap", "h",
-                "n", "sigma_eps", "sigma_x", "delta", "region", "theta",
-                "dd_boot", "x_file", "y_file")
-
-
-# sample files enter the hash by content, so the hash names the data and
-# not the path it was read from
-_FILE_FIELDS = ("x_file", "y_file")
-
-
-def _hash_value(cfg: RunConfig, name):
-    value = getattr(cfg, name)
-    if name not in _FILE_FIELDS or value is None:
-        return repr(value)
-    try:
-        with open(value, "rb") as fh:
-            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise ConfigError(f"cannot read sample file {value}: {exc}") from exc
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canon = "\n".join(f"{name}={_hash_value(cfg, name)}" for name in _HASH_FIELDS)
+    canon = "\n".join(f"{f.name}={f.metadata['hashed'](getattr(cfg, f.name))}"
+                      for f in _FIELDS.values() if f.metadata["hashed"])
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
@@ -499,7 +471,9 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
     alphas = cfg.alpha or (0.05, 0.1)
     reps = cfg.reps or 500
     draws = cfg.draws or 200
-    n = (cfg.n or (100,))[0]
+    n, *more = cfg.n or (100,)
+    if more:
+        raise ConfigError("table3 takes a single --n")
     delta = 0.001 if cfg.delta is None else cfg.delta
     plan = SeedPlan(cfg.seed)
     rows = []
@@ -580,15 +554,14 @@ def cmd_limit(cfg: RunConfig) -> TableResult:
     exp = Experiment.identity(len(theta))
     plan = SeedPlan(cfg.seed)
     rows = []
-    method = "exact" if isinstance(region, HalfSpace) else "mc"
     for ai, alpha in enumerate(alphas):
         summary = rejection_probability(region, np.asarray(theta), exp, alpha,
                                         reps=reps, draws=draws,
                                         master_seed=plan.subplan(ai),
                                         workers=cfg.workers)
         rows.append(dict(region=cfg.region, theta=theta, alpha=alpha,
-                         method=method, value=summary.estimate,
-                         mc_se=summary.mc_se))
+                         method="exact" if summary.exact else "mc",
+                         value=summary.estimate, mc_se=summary.mc_se))
     return TableResult(key_columns=("region", "theta", "alpha", "method"),
                        float_columns=("value", "mc_se"), rows=tuple(rows))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,15 +52,15 @@ _REPS_PER_BLOCK = 1024
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{theta : c . theta <= c0} for a nonzero direction c."""
+    """{theta : c . theta <= c0} for a finite nonzero direction c."""
 
     c: np.ndarray
     c0: float
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if not np.any(c != 0.0):
-            raise ValueError("half-space direction must be nonzero")
+        if not (np.all(np.isfinite(c)) and np.any(c != 0.0)):
+            raise ValueError("half-space direction must be finite and nonzero")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "c0", float(self.c0))
@@ -311,18 +311,18 @@ def _closed_form_posterior(region, x, exp: Experiment):
 def posterior_prob_region(region, x, exp: Experiment, draws=2000, rng=None) -> McSummary:
     """Posterior probability that theta lies in the region, given X = x.
 
-    Closed-form branches report mc_se = 0.  The Monte Carlo branch draws
-    from the posterior N(x, Sigma); a Complement is evaluated through its
-    inner region on the same draws, so the two estimates sum to 1 exactly.
+    Closed-form branches return an exact summary (reps 0, mc_se 0).  The
+    Monte Carlo branch draws from the posterior N(x, Sigma); a Complement
+    is evaluated through its inner region on the same draws, so the two
+    estimates sum to 1 exactly.
     """
     exact = _closed_form_posterior(region, _rows(x), exp)
     if exact is not None:
-        return McSummary(estimate=float(exact[0]), mc_se=0.0, reps=max(int(draws), 1),
-                         master_seed=None)
+        return McSummary(estimate=float(exact[0]), mc_se=0.0, reps=0, master_seed=None,
+                         exact=True)
     if isinstance(region, Complement):
         inner = posterior_prob_region(region.inner, x, exp, draws=draws, rng=rng)
-        return McSummary(estimate=1.0 - inner.estimate, mc_se=inner.mc_se,
-                         reps=inner.reps, master_seed=inner.master_seed)
+        return replace(inner, estimate=1.0 - inner.estimate)
     if draws < 1:
         raise ValueError("need draws >= 1")
     if rng is None:
@@ -407,18 +407,19 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
                           workers=1) -> McSummary:
     """Frequentist rejection probability of the posterior test at theta.
 
-    method="auto" uses the exact formula for half-spaces and falls back to
-    Monte Carlo otherwise; method="mc" forces simulation.  The Monte Carlo
-    path simulates X ~ N(theta, Sigma) in fixed-size blocks on derived
-    streams and applies the test, so results are reproducible for any
-    worker count.
+    method="auto" uses the exact formula for half-spaces, returned as an
+    exact summary, and falls back to Monte Carlo otherwise; method="mc"
+    forces simulation.  The Monte Carlo path simulates X ~ N(theta, Sigma)
+    in fixed-size blocks on derived streams and applies the test, so
+    results are reproducible for any worker count.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
     plan = SeedPlan.coerce(master_seed)
     if method == "auto" and isinstance(region, HalfSpace):
         rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
-        return McSummary(estimate=rp, mc_se=0.0, reps=int(reps), master_seed=plan.master_seed)
+        return McSummary(estimate=rp, mc_se=0.0, reps=0, master_seed=plan.master_seed,
+                         exact=True)
     return _simulated_rejection(region, theta, exp, alpha, reps, draws, plan, workers)
 
 

@@ -28,15 +28,18 @@ def mc_se(p, n):
 
 @dataclass(frozen=True)
 class McSummary:
-    """A simulated probability with its provenance."""
+    """A probability with its provenance: simulated from ``reps``
+    replications, or computed in closed form (``exact``, with reps 0 and
+    mc_se 0)."""
 
     estimate: float
     mc_se: float
     reps: int
     master_seed: int
+    exact: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
-        if self.reps < 1:
+        if not self.exact and self.reps < 1:
             raise ValueError("reps must be >= 1")
 
 
@@ -70,14 +73,13 @@ class SeedPlan:
 
 @dataclass(frozen=True)
 class RunReport:
-    """``summary`` describes indicator column 0; ``counts`` holds the exact
-    count of every column."""
+    """``summary`` describes indicator column 0; ``indicators`` holds every
+    replication's row and ``counts`` the exact count of every column."""
 
     summary: McSummary
     wall_seconds: float
-    config: dict = field(default_factory=dict)
-    indicators: np.ndarray | None = None
-    counts: tuple = ()
+    indicators: np.ndarray
+    counts: tuple
 
 
 class ReplicationError(RuntimeError):
@@ -102,7 +104,7 @@ def _indicator_rows(value, rows):
 
 
 def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
-                     log_indicators=False, config=None, block_size=None) -> RunReport:
+                     block_size=None) -> RunReport:
     """Runs a replication task for indices range(reps) and averages.
 
     With ``block_size`` set, block b holds indices [b * block_size,
@@ -168,8 +170,5 @@ def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
     estimate = counts[0] / reps
     summary = McSummary(estimate=estimate, mc_se=mc_se(estimate, reps),
                         reps=reps, master_seed=seed_plan.master_seed)
-    return RunReport(summary=summary,
-                     wall_seconds=time.perf_counter() - t0,
-                     config=dict(config or {}),
-                     indicators=results if log_indicators else None,
-                     counts=counts)
+    return RunReport(summary=summary, wall_seconds=time.perf_counter() - t0,
+                     indicators=results, counts=counts)

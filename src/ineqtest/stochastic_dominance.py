@@ -246,9 +246,10 @@ _BLOCK_ELEMS = 4_000_000
 _CHUNK_COLS = 64
 
 
-def _dominated_count(x, opp_sample, variant, draws, tol, rng):
+def _dominated_count(x, ref, ys, variant, draws, tol, rng):
     """Number of posterior draws with F_X <= bound + tol on the pooled
-    grid.
+    grid, against the reference CDF ``ref`` or the sorted opponent sample
+    ``ys`` (see _as_opponent).
 
     Weights are drawn in fixed-size draw blocks (X block, then the
     opponent's block).  Within a block the grid is walked in chunks of
@@ -268,12 +269,10 @@ def _dominated_count(x, opp_sample, variant, draws, tol, rng):
     reproducible for a given stream either way.
     """
     xs = np.sort(np.asarray(x, dtype=float))
-    if isinstance(opp_sample, (StepCdf, PiecewiseLinearCdf, ReferenceCdf)):
+    if ys is None:
         grid = xs
-        fixed_bound = np.asarray(opp_sample.evaluate(grid), dtype=float) + tol
-        ys = None
+        fixed_bound = np.asarray(ref.evaluate(grid), dtype=float) + tol
     else:
-        ys = np.sort(np.asarray(opp_sample, dtype=float))
         grid = np.sort(np.concatenate([xs, ys]))
         ty = _row_table(ys, variant, grid)
     tx = _row_table(xs, variant, grid)
@@ -339,13 +338,13 @@ def bb_draw(sample, variant, rng):
 
 
 def _as_opponent(opponent):
-    if isinstance(opponent, ReferenceCdf):
-        return "reference", opponent
-    if isinstance(opponent, (StepCdf, PiecewiseLinearCdf)):
-        return "reference", opponent
+    """(ref, None) for a CDF object or a callable CDF ``ref``, else (None,
+    the opponent sample sorted)."""
+    if isinstance(opponent, (StepCdf, PiecewiseLinearCdf, ReferenceCdf)):
+        return opponent, None
     if callable(opponent):
-        return "reference", ReferenceCdf(fn=opponent)
-    return "sample", np.asarray(opponent, dtype=float)
+        return ReferenceCdf(fn=opponent), None
+    return None, np.sort(np.asarray(opponent, dtype=float))
 
 
 def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None) -> McSummary:
@@ -359,11 +358,10 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     if rng is None:
         rng = SeedPlan(0).stream(0)
     x = np.asarray(x_sample, dtype=float)
-    kind, opp = _as_opponent(opponent)
-    opp_sample = opp if kind == "reference" else np.asarray(opp, dtype=float)
-    if x.size == 0 or (kind == "sample" and opp_sample.size == 0):
+    ref, ys = _as_opponent(opponent)
+    if x.size == 0 or (ys is not None and ys.size == 0):
         raise ValueError("empty sample")
-    count = _dominated_count(x, opp_sample, cfg.bootstrap, cfg.draws, cfg.tol, rng)
+    count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rng)
     p = count / cfg.draws
     return McSummary(estimate=p, mc_se=mc_se(p, cfg.draws), reps=cfg.draws, master_seed=None)
 
@@ -381,13 +379,12 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
     """
     x = np.sort(np.asarray(x_sample, dtype=float))
     n = x.size
-    kind, opp = _as_opponent(opponent)
-    if kind == "reference":
+    ref, y = _as_opponent(opponent)
+    if y is None:
         fx = np.arange(1, n + 1) / n
-        d_plus = float(np.max(fx - np.asarray(opp.evaluate(x), dtype=float)))
+        d_plus = float(np.max(fx - np.asarray(ref.evaluate(x), dtype=float)))
         scale = n
     else:
-        y = np.sort(opp)
         m = y.size
         grid = np.concatenate([x, y])
         fx = np.searchsorted(x, grid, side="right") / n
@@ -409,8 +406,8 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     """
     x = np.sort(np.asarray(x_sample, dtype=float))
     n = x.size
-    _, opp = _as_opponent(f0)
-    u = np.clip(np.asarray(opp.evaluate(x), dtype=float), 0.0, 1.0)
+    ref, _ = _as_opponent(f0)
+    u = np.clip(np.asarray(ref.evaluate(x), dtype=float), 0.0, 1.0)
     k = np.arange(1, n + 1, dtype=float)
     comp = 1.0 - beta_cdf(u, k, n + 1.0 - k)
     return float(np.max(comp))

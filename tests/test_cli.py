@@ -5,6 +5,7 @@ exit codes, and worker-count byte identity of outputs."""
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from ineqtest.cli import (
     ConfigError,
     RunConfig,
     TableResult,
+    build_arg_parser,
     cmd_kline,
     cmd_limit,
     cmd_sd_test,
+    cmd_table3,
     config_hash,
     emit_table,
     main,
@@ -85,6 +88,9 @@ class TestParseRegion:
         "halfspace::",              # nothing at all
         "pentagon:1,2,3",           # unknown kind
         "halfspace:1,two:0",        # unparsable number
+        "box:nan..1",               # nan bound
+        "interval:[nan,1]",         # nan endpoint
+        "halfspace:inf:0",          # infinite direction
     ])
     def test_bad_specs_raise_config_error(self, spec):
         with pytest.raises(ConfigError):
@@ -161,6 +167,8 @@ class TestResolveConfig:
             resolve_config(["--command", "table2", "--reps", "0"])
         with pytest.raises(ConfigError, match="workers"):
             resolve_config(["--command", "table2", "--workers", "0"])
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(["--command", "kline", "--seed", "-1"])
 
     def test_region_validated_early(self):
         with pytest.raises(ConfigError, match="invalid region"):
@@ -174,7 +182,51 @@ class TestResolveConfig:
         assert cfg.alpha == (0.1,)
 
 
+class TestFieldTable:
+    def test_every_field_has_flag_key_and_help(self, tmp_path):
+        parser = build_arg_parser()
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            assert getattr(parser.parse_args([flag, "?"]), f.name) == "?"
+            assert f.metadata["help"]
+            path = tmp_path / f"{f.name}.cfg"
+            path.write_text(f"{f.name} = ?\n")
+            try:
+                assert parse_config_file(path) == {f.name: "?"}
+            except ConfigError as exc:   # a known key whose parser refused "?"
+                assert f":1: {f.name}: " in str(exc)
+
+    def test_hashed_fields(self):
+        names = [f.name for f in fields(RunConfig)]
+        hashed = [f.name for f in fields(RunConfig) if f.metadata["hashed"]]
+        assert len(names) == 19
+        assert hashed == [n for n in names if n not in ("out", "format", "workers")]
+
+
+# pinned config_hash values: renaming, reordering or re-encoding a hashed
+# field changes them; x.txt and y.txt hold the bytes of _PIN_FILES
+_PIN_FILES = {"x.txt": b"0.1\n0.5\n0.7\n", "y.txt": b"0.2\n0.4\n"}
+_PINNED_HASHES = [
+    (dict(command="kline"), "5191363183fe"),
+    (dict(command="table2", seed=20260823, reps=8, h=(0.0, 0.9), n=(100,),
+          alpha=(0.1,), workers=2), "5a7bd9c153fa"),
+    (dict(command="table3", sigma_eps=(0.1,), sigma_x=3.0, delta=0.01, draws=50),
+     "0398774f44b5"),
+    (dict(command="limit", region="signagree", theta=(0.0, 0.5), alpha=(0.05, 0.1)),
+     "585000707643"),
+    (dict(command="sd-test", x_file="x.txt", y_file="y.txt", bootstrap="rubin",
+          dd_boot=99), "f3b3f6915c76"),
+]
+
+
 class TestConfigHash:
+    @pytest.mark.parametrize("kwargs,want", _PINNED_HASHES)
+    def test_pinned_values(self, tmp_path, kwargs, want):
+        for name, data in _PIN_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        kwargs = {k: str(tmp_path / v) if k.endswith("_file") else v for k, v in kwargs.items()}
+        assert config_hash(RunConfig(**kwargs)) == want
+
     def test_sensitive_to_experiment_fields(self):
         a = RunConfig(command="kline", seed=1)
         b = RunConfig(command="kline", seed=2)
@@ -423,6 +475,44 @@ class TestMain:
             assert code == EXIT_OK
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("argv,field", [(["--command", "table2", "--reps", "abc"], "--reps"),
+                                            (["--command", "bogus"], "--command"),
+                                            (["--command", "kline", "--bogus", "1"], "--bogus")])
+    def test_malformed_flag_returns_config_exit(self, capsys, argv, field):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert field in err
+
+    @pytest.mark.parametrize("command,field,bad", [
+        (command, field, bad)
+        for command, field in (("limit", "theta"), ("table2", "h"), ("table3", "sigma_eps"),
+                               ("table3", "sigma_x"), ("table3", "delta"))
+        for bad in ("nan", "inf", "-inf")
+    ] + [("limit", "theta", "0.5,nan"), ("table2", "h", "0.9,inf"),
+         ("table3", "sigma_eps", "0.1,-inf")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, field, bad, source):
+        argv = ["--command", command, "--reps", "1", "--region", "signagree"]
+        if source == "flag":
+            label = "--" + field.replace("_", "-")
+            argv.append(f"{label}={bad}")
+        else:
+            label = f":1: {field}:"
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{field} = {bad}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert label in out.err
+
+    def test_table3_takes_one_n(self, capsys):
+        with pytest.raises(ConfigError, match="single --n"):
+            cmd_table3(RunConfig(command="table3", n=(50, 100)))
+        assert main(["--command", "table3", "--n", "50,100", "--reps", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
     def test_config_file_end_to_end(self, tmp_path):
         cfg = tmp_path / "run.cfg"

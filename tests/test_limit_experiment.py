@@ -269,6 +269,8 @@ class TestRegionPosterior:
         outer = posterior_prob_region(Complement(inner=iu), [0.4], exp)
         assert outer.estimate == 1.0 - inner.estimate
         assert outer.mc_se == 0.0
+        assert inner.exact and outer.exact
+        assert outer.reps == 0
 
     def test_complement_mc_duality_is_exact(self):
         # The complement is evaluated through its inner region, so the two
@@ -303,6 +305,7 @@ class TestRegionPosterior:
         b = posterior_prob_region(Complement(inner=box), x, exp, draws=5000,
                                   rng=np.random.default_rng(5))
         assert a.mc_se > 0.0
+        assert not b.exact and b.reps == a.reps == 5000
         assert a.estimate + b.estimate == 1.0
 
 
@@ -460,6 +463,7 @@ class TestRejectionProbability:
         assert out.mc_se == 0.0
         assert out.estimate == pytest.approx(0.05, abs=1e-12)
         assert out.master_seed == 9
+        assert out.exact and out.reps == 0
 
     def test_mc_agrees_with_exact_for_halfspace(self):
         hl = LowerHalfLine(0.0)
@@ -467,6 +471,7 @@ class TestRejectionProbability:
         mc = rejection_probability(hl, [0.0], exp, alpha=0.1, reps=20_000,
                                    master_seed=3, method="mc")
         assert mc.mc_se > 0.0
+        assert not mc.exact and mc.reps == 20_000
         assert abs(mc.estimate - 0.1) < three_se(0.1, 20_000)
 
     def test_interval_union_rp_vs_quadrature_oracle(self):

@@ -78,6 +78,11 @@ class TestMcSummary:
         with pytest.raises(ValueError):
             McSummary(estimate=0.5, mc_se=0.1, reps=0, master_seed=0)
 
+    def test_exact_summary_carries_no_reps(self):
+        s = McSummary(estimate=0.05, mc_se=0.0, reps=0, master_seed=None, exact=True)
+        assert s.exact and s.reps == 0
+        assert not McSummary(estimate=0.5, mc_se=0.1, reps=10, master_seed=None).exact
+
     def test_allows_missing_master_seed(self):
         s = McSummary(estimate=0.5, mc_se=0.1, reps=10, master_seed=None)
         assert s.master_seed is None
@@ -104,8 +109,7 @@ class TestRunReplications:
         assert len(estimates) == 1
 
     def test_estimate_is_exact_indicator_mean(self):
-        report = run_replications(lambda i, rng: i % 3 == 0, 300, SeedPlan(0),
-                                  log_indicators=True)
+        report = run_replications(lambda i, rng: i % 3 == 0, 300, SeedPlan(0))
         assert report.summary.estimate == report.indicators.mean()
         assert report.indicators.sum() == 100
 
@@ -141,18 +145,13 @@ class TestRunReplications:
         with pytest.raises(ValueError):
             run_replications(lambda i, rng: 1, 0, SeedPlan(0))
 
-    def test_config_echo(self):
-        report = run_replications(lambda i, rng: 1, 5, SeedPlan(0),
-                                  config={"alpha": 0.05})
-        assert report.config == {"alpha": 0.05}
-
     def test_tasks_keyed_to_stream_not_order(self):
         # replication i must see stream(i) regardless of worker layout
         def task(i, rng):
             return rng.integers(0, 2**31) % 2
 
-        one = run_replications(task, 64, SeedPlan(5), workers=1, log_indicators=True)
-        many = run_replications(task, 64, SeedPlan(5), workers=8, log_indicators=True)
+        one = run_replications(task, 64, SeedPlan(5), workers=1)
+        many = run_replications(task, 64, SeedPlan(5), workers=8)
         assert np.array_equal(one.indicators, many.indicators)
 
 
@@ -179,8 +178,8 @@ class TestBlocks:
         def task(indices, rng):
             return rng.random(indices.size) < 0.4
 
-        runs = [run_replications(task, reps, SeedPlan(8), workers=w, block_size=16,
-                                 log_indicators=True) for w in (1, 2, 7)]
+        runs = [run_replications(task, reps, SeedPlan(8), workers=w, block_size=16)
+                for w in (1, 2, 7)]
         for run in runs[1:]:
             assert np.array_equal(run.indicators, runs[0].indicators)
             assert run.summary == runs[0].summary
@@ -199,10 +198,8 @@ class TestBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            serial = run_replications(task, 600, SeedPlan(9), block_size=3,
-                                      log_indicators=True)
-            threaded = run_replications(task, 600, SeedPlan(9), workers=16, block_size=3,
-                                        log_indicators=True)
+            serial = run_replications(task, 600, SeedPlan(9), block_size=3)
+            threaded = run_replications(task, 600, SeedPlan(9), workers=16, block_size=3)
             with pytest.raises(ReplicationError) as err:
                 run_replications(failing, 600, SeedPlan(9), workers=16, block_size=3)
         finally:
@@ -214,8 +211,7 @@ class TestBlocks:
         def task(indices, rng):
             return np.column_stack([indices % 2 == 0, indices % 3 == 0])
 
-        report = run_replications(task, 30, SeedPlan(0), workers=3, block_size=7,
-                                  log_indicators=True)
+        report = run_replications(task, 30, SeedPlan(0), workers=3, block_size=7)
         assert report.indicators.shape == (30, 2)
         assert report.indicators.dtype == np.int64
         assert report.counts == (15, 10)
@@ -228,8 +224,8 @@ class TestBlocks:
         def block(indices, rng):
             return [scalar(int(indices[0]), rng)]
 
-        a = run_replications(scalar, 40, SeedPlan(2), log_indicators=True)
-        b = run_replications(block, 40, SeedPlan(2), block_size=1, log_indicators=True)
+        a = run_replications(scalar, 40, SeedPlan(2))
+        b = run_replications(block, 40, SeedPlan(2), block_size=1)
         assert np.array_equal(a.indicators, b.indicators)
         assert a.counts == b.counts
 
