@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -179,9 +180,23 @@ def parse_config_file(path):
     return values
 
 
+_NUMBER_WORD = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports its own errors (unknown flag, missing value) as a
-    ConfigError instead of exiting, so main() returns EXIT_CONFIG."""
+    ConfigError instead of exiting, so main() returns EXIT_CONFIG.
+
+    A word that starts with - is a value, not a flag, when it reads as a
+    comma-separated list of numbers (``-1,0``, ``-1e-3``, ``-inf``);
+    argparse alone takes only ``-1`` and ``-1.5``.  The field's parser
+    then decides whether the value is usable.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"^-{_NUMBER_WORD}(?:,[+-]?{_NUMBER_WORD})*$", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -246,6 +246,30 @@ _BLOCK_ELEMS = 4_000_000
 _CHUNK_COLS = 64
 
 
+def _zero_posterior(xs, fixed_bound, ys, variant, tol):
+    """Whether some grid column violates the dominance bound in every
+    posterior draw, so the posterior is exactly 0.
+
+    ``xs`` and ``ys`` are sorted; ``fixed_bound`` is ref + tol on xs for a
+    reference opponent.  The cases:
+      - banks against a reference, when ref(x_(n)) + tol < 1: the row
+        reads exactly 1.0 at the sample max;
+      - two samples at tol == 0, when min x < min y: there X's row is at
+        least its first weight and Y's is 0;
+      - two banks samples at tol == 0, when max x < max y: X's row reads
+        exactly 1.0 at its max, and Y's is a partial sum short of its top
+        atom.
+    This screen is the exact posterior; the Monte Carlo count estimates
+    it, and a draw could disagree with it only through an exponential
+    weight of exactly 0.0 or a partial sum that rounds to 1.0.  rubin
+    against a reference is left out, because its row reads 1 +- 1 ulp at
+    the sample max.
+    """
+    if ys is None:
+        return variant == BANKS and fixed_bound[-1] < 1.0
+    return tol == 0 and (xs[0] < ys[0] or (variant == BANKS and xs[-1] < ys[-1]))
+
+
 def _dominated_count(x, ref, ys, variant, draws, tol, rng):
     """Number of posterior draws with F_X <= bound + tol on the pooled
     grid, against the reference CDF ``ref`` or the sorted opponent sample
@@ -267,6 +291,9 @@ def _dominated_count(x, ref, ys, variant, draws, tol, rng):
     sample opponent the X and Y draws interleave per block, so the block
     size (a module constant) is part of the sampling scheme; results stay
     reproducible for a given stream either way.
+
+    Samples that _zero_posterior screens out count 0 before any weight is
+    drawn, so the stream is left where it was.
     """
     xs = np.sort(np.asarray(x, dtype=float))
     if ys is None:
@@ -274,6 +301,10 @@ def _dominated_count(x, ref, ys, variant, draws, tol, rng):
         fixed_bound = np.asarray(ref.evaluate(grid), dtype=float) + tol
     else:
         grid = np.sort(np.concatenate([xs, ys]))
+        fixed_bound = None
+    if _zero_posterior(xs, fixed_bound, ys, variant, tol):
+        return 0
+    if ys is not None:
         ty = _row_table(ys, variant, grid)
     tx = _row_table(xs, variant, grid)
     size = grid.size
@@ -376,6 +407,11 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
     Large upward excursions of F_X-hat above the opponent are evidence
     against dominance.  Uses the asymptotic exponential tail formula:
     one-sample exp(-2 n D+^2), two-sample exp(-2 D+^2 nm/(n+m)).
+
+    One-sample use assumes the sample lies in the reference's support,
+    [0, 1] for UNIFORM01 (which reads 0 below it and 1 above it).  The
+    reference values enter D+ as they are, without the clip into [0, 1]
+    that iu_beta_pvalue_nonsd1 applies; nothing checks the range.
     """
     x = np.sort(np.asarray(x_sample, dtype=float))
     n = x.size
@@ -403,6 +439,10 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     above f0 everywhere.  Each k contributes the upper-tail p-value
     1 - I_{f0(x_(k))}(k, n+1-k), and the overall p-value is the largest
     component (reject only if every pointwise test rejects).
+
+    The sample is assumed to lie in f0's support, [0, 1] for UNIFORM01.
+    f0's values are clipped into [0, 1] before the beta tails, unlike in
+    ks_pvalue_sd1; nothing checks the range.
     """
     x = np.sort(np.asarray(x_sample, dtype=float))
     n = x.size
@@ -444,8 +484,9 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
 
 
 # cap on replicate rows * pooled grid points reduced at once by the min-t
-# bootstrap; output does not depend on it
-_DD_BLOCK_ELEMS = 500_000
+# bootstrap, small enough for a block's counts to stay in cache and for a
+# decision-only test to stop after few rows; output does not depend on it
+_DD_BLOCK_ELEMS = 25_000
 
 
 def _two_value_weights(n, k, q):
@@ -479,7 +520,7 @@ def _resample_index(cw, w, k, u):
         idx -= down
 
 
-def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng):
+def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None):
     """Min-t statistics for n_boot resamples drawn from reweighted samples:
     mass q on the first kx points of x and the first ky points of y.
 
@@ -488,6 +529,10 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng):
     grid is exact; per-row point counts come from one bincount per block
     of replicate rows.  All uniforms are drawn up front, so the blocking
     changes neither the stream nor any row's statistic.
+
+    ``stop``, a pair (t_obs, limit), ends the reduction after the first
+    row block that brings the number of statistics >= t_obs to limit;
+    only the rows reduced so far are returned.
     """
     n, m = x_sorted.size, y_sorted.size
     wx = _two_value_weights(n, kx, q)
@@ -521,10 +566,12 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng):
         se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
         t = np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
         t_min[r0:r0 + rows] = t.min(axis=1)
+        if stop is not None and np.count_nonzero(t_min[:r0 + rows] >= stop[0]) >= stop[1]:
+            return t_min[:r0 + rows]
     return t_min
 
 
-def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:
+def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) -> float:
     """Bootstrap min-t p-value for the null that X does not dominate Y.
 
     The observed statistic is the minimum dominance t-statistic over the
@@ -535,6 +582,15 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:
     each sample's mass below/above the argmin is rescaled to match, and
     resamples from the weighted samples yield the reference distribution
     for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).
+
+    With ``alpha`` set, only whether p <= alpha is wanted.  The bootstrap
+    then stops once #{t* >= t_obs} reaches the smallest count whose p, by
+    the same float expression, exceeds alpha (the sequential Monte Carlo
+    test of Besag and Clifford 1991), and returns the p of the rows
+    reduced so far.  That value is the full p-value when it is <= alpha,
+    and otherwise only known to exceed alpha, so ``p <= alpha`` is the
+    same decision either way.  Every uniform is still drawn, so the stream
+    is left where the full p-value leaves it.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)
@@ -549,8 +605,13 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None) -> float:
     kx = int(np.searchsorted(x, z_hat, side="right"))
     ky = int(np.searchsorted(y, z_hat, side="right"))
     q = (kx + ky) / (n + m)
+    stop = None
+    if alpha is not None:
+        over = np.flatnonzero((1.0 + np.arange(n_boot + 1)) / (n_boot + 1.0) > alpha)
+        if over.size:
+            stop = (t_obs, int(over[0]))
     # degenerate splits cannot occur: the argmin has both ECDFs in (0, 1)
-    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, rng)
+    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, rng, stop)
     return float((1.0 + np.sum(t_star >= t_obs)) / (n_boot + 1.0))
 
 
@@ -598,7 +659,9 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     null that it does not.  method is "ks", "iu_beta", "dd", "iu_maxt", or
     "bayes"; the Bayesian test rejects when the posterior probability of
     the null is <= alpha (for null="non_sd1" that probability is one minus
-    the dominance posterior, computed from the same draws).
+    the dominance posterior, computed from the same draws).  The dd test
+    passes alpha to dd_pvalue_nonsd1, whose bootstrap stops once p > alpha
+    is certain; the decision is that of the full p-value.
 
     adaptive_draws, when set to (initial, extra), runs the Bayesian
     posterior with ``initial`` draws first and tops up with ``extra`` more
@@ -653,7 +716,7 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
         elif method == "iu_beta":
             p = iu_beta_pvalue_nonsd1(x, UNIFORM01)
         elif method == "dd":
-            p = dd_pvalue_nonsd1(x, y, n_boot=cfg.dd_boot, rng=rng)
+            p = dd_pvalue_nonsd1(x, y, n_boot=cfg.dd_boot, rng=rng, alpha=alpha)
         else:
             p = iu_maxt_pvalue_nonsd1(x, y)
         return p <= alpha

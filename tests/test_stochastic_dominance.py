@@ -286,6 +286,124 @@ class TestPosteriorProbSd1:
 
 
 # ---------------------------------------------------------------------------
+# zero-posterior screen
+
+
+def _never_draw(*args, **kwargs):
+    raise AssertionError("weights drawn for a screened sample")
+
+
+def _screened_cases(seed):
+    """(label, x, opponent, variant, tol) cases whose exact posterior is 0,
+    one group per screen rule, on samples drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    # one sample, banks: the sample max sits below the point where the
+    # reference plus tol reaches 1 (the step reference reaches 1 at 1.0)
+    x1 = rng.uniform(0.0, 0.99, n)
+    step = ecdf(np.append(rng.uniform(0.0, 1.0, n), 1.0))
+    cases = [("one_sample", x1, UNIFORM01, BANKS, 0.0),
+             ("one_sample", x1, UNIFORM01, BANKS, 0.005),
+             ("one_sample", x1, lambda t: np.clip(t, 0.0, 1.0), BANKS, 0.0),
+             ("one_sample", x1, step, BANKS, 0.0)]
+    # two samples, tol 0: min x < min y, with max x above max y so only
+    # this rule applies
+    y2 = rng.uniform(0.1, 1.0, n)
+    x2 = rng.uniform(0.0, 1.2, n)
+    x2[0], x2[1] = y2.min() - 0.01, y2.max() + 0.01
+    cases += [("min", x2, y2, variant, 0.0) for variant in (RUBIN, BANKS)]
+    # two banks samples, tol 0: x strictly inside y's range, so max x <
+    # max y while min x > min y
+    y3 = rng.uniform(0.0, 1.0, n)
+    x3 = rng.uniform(y3.min(), y3.max(), n + 5)
+    cases.append(("max", x3, y3, BANKS, 0.0))
+    return cases
+
+
+def _screen_off(monkeypatch):
+    monkeypatch.setattr(sd, "_zero_posterior", lambda *args: False)
+
+
+class TestZeroPosteriorScreen:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_screen_counts_zero_without_drawing(self, monkeypatch, seed):
+        monkeypatch.setattr(sd, "_weight_rows", _never_draw)
+        cases = _screened_cases(seed)
+        assert {label for label, *_ in cases} == {"one_sample", "min", "max"}
+        for _, x, opponent, variant, tol in cases:
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            cfg = SdConfig(draws=500, bootstrap=variant, tol=tol)
+            out = posterior_prob_sd1(x, opponent, cfg=cfg, rng=rng)
+            assert out.estimate == 0.0
+            assert out.reps == 500
+            assert rng.bit_generator.state == state
+
+    def test_walk_agrees_over_seeds(self, monkeypatch):
+        # the screen is the exact posterior: without it, the Monte Carlo
+        # walk finds a violation in every draw too
+        _screen_off(monkeypatch)
+        for seed in range(50):
+            for _, x, opponent, variant, tol in _screened_cases(seed):
+                ref, ys = sd._as_opponent(opponent)
+                count = sd._dominated_count(x, ref, ys, variant, 200, tol,
+                                            np.random.default_rng(seed))
+                assert count == 0
+
+    def test_rules_apply_only_where_exact(self):
+        def screened(x, opponent, variant, tol):
+            ref, ys = sd._as_opponent(opponent)
+            xs = np.sort(np.asarray(x, dtype=float))
+            bound = None if ref is None else ref.evaluate(xs) + tol
+            return sd._zero_posterior(xs, bound, ys, variant, tol)
+
+        x_low = [0.2, 0.5, 0.9]
+        assert screened(x_low, UNIFORM01, BANKS, 0.0)
+        # rubin reads 1 +- 1 ulp at the max, so it is never screened
+        assert not screened(x_low, UNIFORM01, RUBIN, 0.0)
+        # ref(x_(n)) + tol reaching 1 exactly leaves the posterior open
+        assert screened([0.2, 0.5, 0.9], UNIFORM01, BANKS, 0.0999)
+        assert not screened([0.2, 0.5, 0.9], UNIFORM01, BANKS, 0.1)
+        assert not screened([0.2, 0.5, 1.0], UNIFORM01, BANKS, 0.0)
+        below, above = [0.1, 0.5, 0.7], [0.2, 0.6, 0.8]
+        for variant in (RUBIN, BANKS):
+            assert screened(below, above, variant, 0.0)
+            assert not screened(below, above, variant, 0.01)
+            assert not screened(above, below, variant, 0.0)
+        inside, outside = [0.3, 0.5], [0.2, 0.9]
+        assert screened(inside, outside, BANKS, 0.0)
+        assert not screened(inside, outside, BANKS, 0.01)
+        assert not screened(inside, outside, RUBIN, 0.0)
+
+    def test_unscreened_tol_gives_positive_posterior(self):
+        # at ref(x_(n)) + tol == 1 the draws are walked and some dominate
+        cfg = SdConfig(draws=400, tol=0.1)
+        out = posterior_prob_sd1([0.2, 0.5, 0.9], UNIFORM01, cfg=cfg,
+                                 rng=np.random.default_rng(1))
+        assert out.estimate > 0.0
+
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_table2_cells_unchanged(self, monkeypatch, two_sample):
+        # nothing reads a replication's stream after its posterior, so
+        # skipping the weights of a screened replication moves no decision
+        kwargs = dict(h=0.0, n=60, two_sample=two_sample, null="sd1", method="bayes",
+                      alpha=0.1, reps=16, master_seed=4, adaptive_draws=(300, 1500))
+        fired = []
+        screen = sd._zero_posterior
+
+        def counted(*args):
+            fired.append(screen(*args))
+            return fired[-1]
+
+        monkeypatch.setattr(sd, "_zero_posterior", counted)
+        screened = sd_rejection_probability(**kwargs)
+        assert any(fired)
+        _screen_off(monkeypatch)
+        walked = sd_rejection_probability(**kwargs)
+        assert screened.estimate == walked.estimate
+
+
+# ---------------------------------------------------------------------------
 # frequentist p-values
 
 
@@ -500,6 +618,111 @@ class TestPinnedOutputs:
     def test_dd_pvalues_ignore_row_block(self, monkeypatch):
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", 1)
         self.test_dd_pvalues()
+
+
+# ---------------------------------------------------------------------------
+# decision-only dd test (Besag-Clifford stop)
+
+
+def _dd_stop_count(n_boot, alpha):
+    """Smallest exceedance count whose p-value exceeds alpha, by a loop
+    over the p-value expression itself."""
+    c = 0
+    while c <= n_boot and (1.0 + c) / (n_boot + 1.0) <= alpha:
+        c += 1
+    return c
+
+
+# (n, h, seed, n_boot, alpha, full p): shifted pairs drawn from seed, whose
+# bootstrap (also seeded by seed) counts one short of the stop count or
+# exactly the stop count, for every n_boot and alpha
+DD_BOUNDARY = [
+    (20, 1.3, 6, 19, 0.05, 0.05), (20, 1.3, 17, 19, 0.05, 0.1),
+    (20, 1.3, 17, 19, 0.1, 0.1), (20, 1.3, 16, 19, 0.1, 0.15),
+    (20, 1.3, 39, 99, 0.05, 0.05), (20, 1.3, 11, 99, 0.05, 0.06),
+    (20, 1.3, 6, 99, 0.1, 0.1), (100, 1.3, 10, 99, 0.1, 0.11),
+    (20, 1.3, 19, 199, 0.05, 0.05), (20, 1.3, 133, 199, 0.05, 0.055),
+    (20, 1.3, 9, 199, 0.1, 0.1), (20, 1.3, 5, 199, 0.1, 0.105),
+]
+DD_BLOCKS = [1, sd._DD_BLOCK_ELEMS, 10 ** 8]
+
+
+def _dd_decisions(x, y, n_boot, alpha, seed):
+    full = dd_pvalue_nonsd1(x, y, n_boot=n_boot, rng=np.random.default_rng(seed))
+    stopped = dd_pvalue_nonsd1(x, y, n_boot=n_boot, rng=np.random.default_rng(seed),
+                               alpha=alpha)
+    return full, stopped
+
+
+class TestDecisionOnlyDd:
+    @pytest.mark.parametrize("block", DD_BLOCKS)
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    @pytest.mark.parametrize("h", [0.9, 1.3, 3.0])
+    def test_decision_matches_full_pvalue(self, monkeypatch, block, n, h):
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
+        for seed in range(1 if n == 1000 else 3):
+            x, y = _shifted_pair(n, h, 1000 + seed)
+            for n_boot in (19, 99, 199):
+                for alpha in (0.05, 0.1):
+                    full, stopped = _dd_decisions(x, y, n_boot, alpha, seed)
+                    assert (stopped <= alpha) == (full <= alpha)
+                    # a rejection is never stopped, so its p is the full one
+                    if full <= alpha:
+                        assert stopped == full
+
+    @pytest.mark.parametrize("block", DD_BLOCKS)
+    @pytest.mark.parametrize("case", DD_BOUNDARY)
+    def test_boundary_counts(self, monkeypatch, block, case):
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
+        n, h, seed, n_boot, alpha, want = case
+        x, y = _shifted_pair(n, h, seed)
+        full, stopped = _dd_decisions(x, y, n_boot, alpha, seed)
+        assert full == want
+        count = round(full * (n_boot + 1)) - 1
+        assert _dd_stop_count(n_boot, alpha) - count in (0, 1)
+        assert (stopped <= alpha) == (full <= alpha)
+
+    @pytest.mark.parametrize("case", DD_BOUNDARY)
+    def test_rows_stop_at_the_stop_count(self, monkeypatch, case):
+        # one row per block: the reduction ends on the row that brings the
+        # count of t* >= t_obs to the stop count, and not before
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", 1)
+        n, h, seed, n_boot, alpha, _ = case
+        x, y = _shifted_pair(n, h, seed)
+        rows = []
+        bootstrap = sd._bootstrap_min_t_rows
+
+        def recorded(*args):
+            rows.append(bootstrap(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(sd, "_bootstrap_min_t_rows", recorded)
+        _dd_decisions(x, y, n_boot, alpha, seed)
+        full, stopped = rows
+        t_obs, _ = sd._interior_min_t(np.sort(x), np.sort(y))
+        hits = np.flatnonzero(full >= t_obs)
+        limit = _dd_stop_count(n_boot, alpha)
+        want = n_boot if hits.size < limit else hits[limit - 1] + 1
+        assert stopped.size == want
+        np.testing.assert_array_equal(stopped, full[:want])
+
+    def test_stream_left_where_full_pvalue_leaves_it(self):
+        x, y = _shifted_pair(100, 0.9, 3)
+        ends = []
+        for alpha in (None, 0.1):
+            rng = np.random.default_rng(8)
+            dd_pvalue_nonsd1(x, y, n_boot=199, rng=rng, alpha=alpha)
+            ends.append(rng.bit_generator.state)
+        assert ends[0] == ends[1]
+
+    def test_table2_dd_cell_matches_full_pvalue(self, monkeypatch):
+        kwargs = dict(h=1.3, n=100, two_sample=True, null="non_sd1", method="dd",
+                      alpha=0.1, reps=30, cfg=SdConfig(dd_boot=199), master_seed=6)
+        stopped = sd_rejection_probability(**kwargs)
+        full_pvalue = sd.dd_pvalue_nonsd1
+        monkeypatch.setattr(sd, "dd_pvalue_nonsd1",
+                            lambda x, y, n_boot, rng, alpha: full_pvalue(x, y, n_boot, rng))
+        assert sd_rejection_probability(**kwargs).estimate == stopped.estimate
 
 
 # ---------------------------------------------------------------------------
