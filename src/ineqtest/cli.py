@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .distributions import std_normal_quantile
 from .limit_experiment import (Box, Complement, Experiment, HalfSpace,
                                IntervalUnion, SignAgreement,
                                kline_orthant_posterior, rejection_probability)
-from .mc_harness import SeedPlan
+from .mc_harness import SeedPlan, parallel_map
 from .stochastic_dominance import (BANKS, RUBIN, SdConfig, UNIFORM01,
                                    dd_pvalue_nonsd1, iu_beta_pvalue_nonsd1,
                                    iu_maxt_pvalue_nonsd1, ks_pvalue_sd1,
@@ -132,8 +133,8 @@ class RunConfig:
     delta: float = _option(_REAL, "table3 curvature slack", "R")
     region: str = _option(_region_spec, "null region (limit command)", "SPEC")
     theta: tuple = _option(_listed(_REAL), "parameter point (limit command)", "LIST")
-    workers: int = _option(_COUNT, "worker threads for replications (default 1)", "N",
-                           default=1, hashed=None)
+    workers: int = _option(_COUNT, "worker processes; a table's cells run in parallel "
+                           "(default 1)", "N", default=1, hashed=None)
     dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
     x_file: str = _option(str, "newline-delimited sample for sd-test", "PATH",
                           hashed=_file_digest)
@@ -403,6 +404,12 @@ def _load_sample(path):
     return data
 
 
+def _run_cells(jobs, workers):
+    """Results of a table's cells, each a call with its replications run
+    serially; the cells themselves run in ``workers`` processes."""
+    return parallel_map(lambda job: job(), jobs, workers)
+
+
 def cmd_table1(cfg: RunConfig) -> TableResult:
     from .stochastic_dominance import fixed_design_sample
 
@@ -457,7 +464,7 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
     # with no explicit draw count, spend draws only near the threshold
     adaptive = None if cfg.draws else (300, 1500)
     plan = SeedPlan(cfg.seed)
-    rows = []
+    rows, jobs = [], []
     cell = 0
     for n in ns:
         cells = [("sd1", 0.0, False, "ks"), ("sd1", 0.0, False, "bayes"),
@@ -467,15 +474,16 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
                                  (True, "dd"), (True, "bayes"))]
         for null, h, two_sample, method in cells:
             for ai, alpha in enumerate(alphas):
-                summary = sd_rejection_probability(
-                    h, n, two_sample, null, method, alpha, reps, cfg=sd_cfg,
-                    master_seed=plan.subplan(cell, ai), workers=cfg.workers,
-                    adaptive_draws=adaptive if method == "bayes" else None)
+                jobs.append(partial(
+                    sd_rejection_probability, h, n, two_sample, null, method, alpha, reps,
+                    cfg=sd_cfg, master_seed=plan.subplan(cell, ai),
+                    adaptive_draws=adaptive if method == "bayes" else None))
                 rows.append(dict(h0=null, n=n, h=h,
                                  comparison="two_sample" if two_sample else "one_sample",
-                                 method=method, alpha=alpha, reps=reps,
-                                 rate=summary.estimate, mc_se=summary.mc_se))
+                                 method=method, alpha=alpha, reps=reps))
             cell += 1
+    for row, summary in zip(rows, _run_cells(jobs, cfg.workers)):
+        row.update(rate=summary.estimate, mc_se=summary.mc_se)
     return TableResult(key_columns=("h0", "n", "h", "comparison", "method",
                                     "alpha", "reps"),
                        float_columns=("rate", "mc_se"), rows=tuple(rows))
@@ -491,20 +499,19 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
         raise ConfigError("table3 takes a single --n")
     delta = 0.001 if cfg.delta is None else cfg.delta
     plan = SeedPlan(cfg.seed)
-    rows = []
+    rows, jobs = [], []
     for si, s_eps in enumerate(sigmas):
         kwargs = dict(delta=delta, sigma_eps=s_eps, n=n)
         if cfg.sigma_x is not None:
             kwargs["sigma_x"] = cfg.sigma_x
         dgp = TranslogDgp(**kwargs)
         for ai, alpha in enumerate(alphas):
-            res = type1_error_sim(dgp, alpha, reps=reps, draws=draws,
-                                  master_seed=plan.subplan(si, ai),
-                                  workers=cfg.workers)
-            rows.append(dict(sigma_eps=s_eps, alpha=alpha, reps=reps, draws=draws,
-                             rate=res.rejection.estimate,
-                             mc_se=res.rejection.mc_se,
-                             monotonicity_rate=res.monotonicity_rate))
+            jobs.append(partial(type1_error_sim, dgp, alpha, reps=reps, draws=draws,
+                                master_seed=plan.subplan(si, ai)))
+            rows.append(dict(sigma_eps=s_eps, alpha=alpha, reps=reps, draws=draws))
+    for row, res in zip(rows, _run_cells(jobs, cfg.workers)):
+        row.update(rate=res.rejection.estimate, mc_se=res.rejection.mc_se,
+                   monotonicity_rate=res.monotonicity_rate)
     return TableResult(key_columns=("sigma_eps", "alpha", "reps", "draws"),
                        float_columns=("rate", "mc_se", "monotonicity_rate"),
                        rows=tuple(rows))
@@ -568,15 +575,13 @@ def cmd_limit(cfg: RunConfig) -> TableResult:
     draws = cfg.draws or 2000
     exp = Experiment.identity(len(theta))
     plan = SeedPlan(cfg.seed)
-    rows = []
-    for ai, alpha in enumerate(alphas):
-        summary = rejection_probability(region, np.asarray(theta), exp, alpha,
-                                        reps=reps, draws=draws,
-                                        master_seed=plan.subplan(ai),
-                                        workers=cfg.workers)
-        rows.append(dict(region=cfg.region, theta=theta, alpha=alpha,
-                         method="exact" if summary.exact else "mc",
-                         value=summary.estimate, mc_se=summary.mc_se))
+    jobs = [partial(rejection_probability, region, np.asarray(theta), exp, alpha,
+                    reps=reps, draws=draws, master_seed=plan.subplan(ai))
+            for ai, alpha in enumerate(alphas)]
+    rows = [dict(region=cfg.region, theta=theta, alpha=alpha,
+                 method="exact" if summary.exact else "mc",
+                 value=summary.estimate, mc_se=summary.mc_se)
+            for alpha, summary in zip(alphas, _run_cells(jobs, cfg.workers))]
     return TableResult(key_columns=("region", "theta", "alpha", "method"),
                        float_columns=("value", "mc_se"), rows=tuple(rows))
 

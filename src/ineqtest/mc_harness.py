@@ -6,13 +6,17 @@ caller; block b consumes only the stream derived from (master_seed, b),
 its results land in a slot of their own, and the reduction is an exact
 integer sum per column.  Output is therefore bit-identical for any worker
 count and any execution order.
+
+``parallel_map`` is the one parallel code path: blocks, and the cells of
+a table, run in forked worker processes, since the kernels' many short
+numpy calls hold the GIL and threads barely overlap them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +94,58 @@ class ReplicationError(RuntimeError):
         self.index = index
         self.cause = cause
 
+    def __reduce__(self):
+        # rebuilt from its fields when it comes back from a worker process
+        return type(self), (self.index, self.cause)
+
+
+# what a forked worker process runs: (fn, items), set in the worker by
+# _inherit and never pickled
+_INHERITED = None
+
+
+def _inherit(fn, items):
+    global _INHERITED
+    _INHERITED = (fn, items)
+
+
+def _call_inherited(i):
+    fn, items = _INHERITED
+    return fn(items[i])
+
+
+def parallel_map(fn, items, workers=1):
+    """``[fn(item) for item in items]``, run in forked worker processes.
+
+    Starts min(workers, len(items), usable cores) processes.  Each is a
+    fork of the caller, so ``fn`` and ``items`` reach it by inheritance
+    and need not pickle; only results and exceptions travel back.  Items
+    are handed out one at a time, last first, because callers list their
+    costliest items last, and each result is put back at its index.  When
+    that count is 1, or the platform cannot fork, the items run here in
+    order with no pool.
+
+    A raising call re-raises in the caller; when several raise, the
+    lowest index wins, as it would serially.  No worker process outlives
+    the call.
+    """
+    items = list(items)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    procs = min(int(workers), len(items), cores)
+    if procs <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(fn, items)) as pool:
+        futures = [pool.submit(_call_inherited, i) for i in reversed(range(len(items)))]
+        try:
+            return [future.result() for future in reversed(futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
 
 def _indicator_rows(value, rows):
     """A task's block result as an int64 array of shape (rows,) or
@@ -115,11 +171,14 @@ def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
     ``task(i, rng) -> 0/1`` on ``seed_plan.stream(i)``: the block-of-one
     case.
 
-    The counts are exact integer sums, so permuting execution order or
-    changing ``workers`` never changes the report; only ``block_size``,
-    which callers hold as a constant, decides which stream a replication
-    reads.  A failing block raises ReplicationError with the first index of
-    the lowest failing block.
+    With ``workers`` > 1 the blocks are cut into that many contiguous
+    spans, which run in forked worker processes through parallel_map: the
+    task need not pickle, but what it does besides returning its rows
+    stays in the worker.  The counts are exact integer sums, so permuting
+    execution order or changing ``workers`` never changes the report; only
+    ``block_size``, which callers hold as a constant, decides which stream
+    a replication reads.  A failing block raises ReplicationError with the
+    first index of the lowest failing block.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
@@ -134,32 +193,24 @@ def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
     if block_size < 1:
         raise ValueError("need block_size >= 1")
     t0 = time.perf_counter()
+
+    def run_block(b):
+        first = b * block_size
+        indices = np.arange(first, min(first + block_size, reps))
+        try:
+            return _indicator_rows(task(indices, seed_plan.stream(b)), indices.size)
+        except Exception as exc:  # noqa: BLE001, re-raised with its index
+            raise ReplicationError(first, exc) from exc
+
     n_blocks = -(-reps // block_size)
-    blocks = [None] * n_blocks
-    failures = []
-
-    def run_blocks(block_ids):
-        for b in block_ids:
-            first = b * block_size
-            # a lower failure decides the error; blocks below it still run
-            if failures and min(i for i, _ in failures) < first:
-                return
-            indices = np.arange(first, min(first + block_size, reps))
-            try:
-                blocks[b] = _indicator_rows(task(indices, seed_plan.stream(b)), indices.size)
-            except Exception as exc:  # noqa: BLE001, re-raised with index below
-                failures.append((first, exc))
-                return
-
-    workers = max(1, int(workers))
-    if workers == 1:
-        run_blocks(range(n_blocks))
-    else:
-        chunks = [range(k, n_blocks, workers) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_blocks, chunks))
-    if failures:
-        raise ReplicationError(*min(failures, key=lambda pair: pair[0]))
+    # one contiguous span of blocks per worker: a process sends one message
+    # per span, not per block, and the lowest failing span holds the lowest
+    # failing block
+    parts = min(max(1, int(workers)), n_blocks)
+    cuts = [k * n_blocks // parts for k in range(parts + 1)]
+    spans = parallel_map(lambda k: [run_block(b) for b in range(cuts[k], cuts[k + 1])],
+                         range(parts), workers)
+    blocks = [block for span in spans for block in span]
     for b, block in enumerate(blocks):
         if block.shape[1:] != blocks[0].shape[1:]:
             raise ReplicationError(b * block_size, ValueError(

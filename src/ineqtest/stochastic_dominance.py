@@ -54,8 +54,11 @@ class StepCdf:
         object.__setattr__(self, "weights", w)
 
     def evaluate(self, t):
+        """Reads exactly 1 from the last point on, where the weights' sum
+        may round to 1 +- 1 ulp."""
         t = np.asarray(t, dtype=float)
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+        cum[-1] = 1.0
         return cum[np.searchsorted(self.points, t, side="right")]
 
 
@@ -163,12 +166,13 @@ class _RowTable:
     """Where each point of a sorted grid reads a bootstrap CDF row.
 
     With C[k] the running sum of a row's first k weights, grid column j
-    reads 0 for j < lo, 1 for j >= hi, and C[k[j]] + frac[j] * w[k[j]] in
-    between.  rubin has no frac (the step CDF's value is C[k]) and no 1
-    region.  banks weights are an atom at the sample min, one weight per
-    gap spread linearly across it, and an atom at the max; with n = 1 the
-    interior is empty and the row is the step at the single point.  k is
-    nondecreasing because the grid is sorted.
+    reads 0 for j < lo, exactly 1 for j >= hi (from the sample max on,
+    where C[n] would read 1 +- 1 ulp), and C[k[j]] + frac[j] * w[k[j]] in
+    between.  rubin has no frac (the step CDF's value is C[k]).  banks
+    weights are an atom at the sample min, one weight per gap spread
+    linearly across it, and an atom at the max; with n = 1 the interior is
+    empty and the row is the step at the single point.  k is nondecreasing
+    because the grid is sorted.
     """
 
     k: np.ndarray
@@ -182,9 +186,9 @@ def _row_table(sorted_sample, variant, grid):
     n = xs.size
     seg = np.searchsorted(xs, grid, side="right")
     lo = int(np.searchsorted(seg, 0, side="right"))
+    hi = int(np.searchsorted(seg, n, side="left"))
     if variant == RUBIN:
-        return _RowTable(k=seg, frac=None, lo=lo, hi=grid.size)
-    hi = int(np.searchsorted(seg, n - 1, side="right"))
+        return _RowTable(k=seg, frac=None, lo=lo, hi=hi)
     k = seg[lo:hi]
     width = xs[k] - xs[k - 1]
     frac = np.where(width > 0, (grid[lo:hi] - xs[k - 1]) / np.where(width > 0, width, 1.0), 1.0)
@@ -246,28 +250,26 @@ _BLOCK_ELEMS = 4_000_000
 _CHUNK_COLS = 64
 
 
-def _zero_posterior(xs, fixed_bound, ys, variant, tol):
+def _zero_posterior(xs, fixed_bound, ys, tol):
     """Whether some grid column violates the dominance bound in every
     posterior draw, so the posterior is exactly 0.
 
     ``xs`` and ``ys`` are sorted; ``fixed_bound`` is ref + tol on xs for a
-    reference opponent.  The cases:
-      - banks against a reference, when ref(x_(n)) + tol < 1: the row
-        reads exactly 1.0 at the sample max;
+    reference opponent.  Every row reads exactly 1.0 from its sample max
+    on, in both variants.  The cases:
+      - against a reference, when ref(x_(n)) + tol < 1: the row reads 1.0
+        at the sample max;
       - two samples at tol == 0, when min x < min y: there X's row is at
         least its first weight and Y's is 0;
-      - two banks samples at tol == 0, when max x < max y: X's row reads
-        exactly 1.0 at its max, and Y's is a partial sum short of its top
-        atom.
+      - two samples at tol == 0, when max x < max y: X's row reads 1.0 at
+        its max, and Y's is a partial sum short of its top weight.
     This screen is the exact posterior; the Monte Carlo count estimates
     it, and a draw could disagree with it only through an exponential
-    weight of exactly 0.0 or a partial sum that rounds to 1.0.  rubin
-    against a reference is left out, because its row reads 1 +- 1 ulp at
-    the sample max.
+    weight of exactly 0.0 or a partial sum that rounds to 1.0.
     """
     if ys is None:
-        return variant == BANKS and fixed_bound[-1] < 1.0
-    return tol == 0 and (xs[0] < ys[0] or (variant == BANKS and xs[-1] < ys[-1]))
+        return fixed_bound[-1] < 1.0
+    return tol == 0 and (xs[0] < ys[0] or xs[-1] < ys[-1])
 
 
 def _dominated_count(x, ref, ys, variant, draws, tol, rng):
@@ -302,7 +304,7 @@ def _dominated_count(x, ref, ys, variant, draws, tol, rng):
     else:
         grid = np.sort(np.concatenate([xs, ys]))
         fixed_bound = None
-    if _zero_posterior(xs, fixed_bound, ys, variant, tol):
+    if _zero_posterior(xs, fixed_bound, ys, tol):
         return 0
     if ys is not None:
         ty = _row_table(ys, variant, grid)

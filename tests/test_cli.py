@@ -6,7 +6,12 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,8 @@ from ineqtest.cli import (
     resolve_config,
 )
 from ineqtest.distributions import std_normal_quantile
+from ineqtest.mc_harness import run_replications
+from ineqtest.translog import RankDeficientError
 from ineqtest.limit_experiment import (
     _REPS_PER_BLOCK,
     Box,
@@ -571,3 +578,86 @@ def test_table2_golden_output(capsys, workers):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE2_GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# table cells in forked worker processes
+
+
+def _python(*args):
+    """A fresh interpreter that imports this checkout's package, with
+    stdout and stderr sent to real pipes and block-buffered, so a forked
+    child that flushed its copy of a pending buffer would print it twice."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, check=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "table2", "--reps", "2", "--n", "100"],
+    ["--command", "table3", "--reps", "3"],
+    ["--command", "limit", "--region", "interval:[-1,0]", "--theta", "0",
+     "--alpha", "0.05,0.1", "--reps", "3000"],
+])
+def test_piped_stdout_identical_across_workers(argv):
+    outputs = []
+    for workers in ("1", "2", "4"):
+        proc = _python("-m", "ineqtest.cli", *argv, "--workers", workers)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == b""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") > 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "table2", "--reps", "1", "--n", "100", "--h", "0.9"],
+    ["--command", "table3", "--reps", "1", "--n", "40", "--draws", "20"],
+    ["--command", "limit", "--region", "interval:[-1,0]", "--theta", "0",
+     "--alpha", "0.05,0.1", "--reps", "500"],
+])
+def test_no_worker_outlives_main(capsys, argv):
+    assert main(argv + ["--workers", "2"]) == EXIT_OK
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the pool is imported only when a call runs more than one process
+    script = ("import sys\n"
+              "import ineqtest.cli\n"
+              "ineqtest.cli.main(['--command', 'table3', '--reps', '1', '--n', '40',\n"
+              "                   '--draws', '20', '--sigma-eps', '0.1', '--workers', '1'])\n"
+              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+              "             if m in sys.modules))\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == b"[]"
+
+
+def test_failing_cell_reports_alike_across_workers(monkeypatch, capsys):
+    # the workers are forks, so they inherit the patch; the lowest failing
+    # cell decides the error although the last cells are handed out first
+    real = cli.type1_error_sim
+
+    def fragile(dgp, alpha, reps, draws, master_seed):
+        def one_rep(i, rng):
+            if dgp.sigma_eps >= 0.2 and i == reps - 1:
+                raise RankDeficientError(f"rank lost at sigma_eps {dgp.sigma_eps}")
+            return 0
+
+        run_replications(one_rep, reps, master_seed)
+        return real(dgp, alpha, reps=reps, draws=draws, master_seed=master_seed)
+
+    monkeypatch.setattr(cli, "type1_error_sim", fragile)
+    seen = []
+    for workers in ("1", "2"):
+        code = main(["--command", "table3", "--reps", "2", "--draws", "20", "--n", "40",
+                     "--sigma-eps", "0.1,0.2,0.3", "--alpha", "0.1", "--workers", workers])
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    assert seen[0] == (EXIT_NUMERICAL, "", "numerical failure: replication 1 failed: "
+                       "RankDeficientError('rank lost at sigma_eps 0.2')\n")

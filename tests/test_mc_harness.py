@@ -1,14 +1,22 @@
-"""Replication engine: determinism, reduction exactness, failure policy."""
+"""Replication engine: determinism, reduction exactness, failure policy,
+and the forked parallel map under it."""
 
+import multiprocessing
+import os
+import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ineqtest
 from ineqtest.mc_harness import (McSummary, ReplicationError, SeedPlan, mc_se,
-                                 run_replications)
+                                 parallel_map, run_replications)
+from ineqtest.translog import RankDeficientError
 
 
 class TestMcSe:
@@ -268,3 +276,58 @@ class TestBlocks:
     def test_rejects_empty_blocks(self):
         with pytest.raises(ValueError):
             run_replications(lambda indices, rng: indices * 0, 5, SeedPlan(0), block_size=0)
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_results_by_index(self, workers):
+        offset = 10   # fn is a closure: the workers inherit it, nothing pickles it
+        out = parallel_map(lambda item: item * item + offset, range(9), workers)
+        assert out == [i * i + offset for i in range(9)]
+        assert multiprocessing.active_children() == []
+
+    def test_forks_only_for_more_than_one_process(self):
+        parent = os.getpid()
+        assert set(parallel_map(lambda _: os.getpid(), range(4), 1)) == {parent}
+        assert set(parallel_map(lambda _: os.getpid(), [0], 4)) == {parent}
+        pids = set(parallel_map(lambda _: os.getpid(), range(4), 2))
+        assert (parent in pids) == (len(os.sched_getaffinity(0)) < 2)
+        assert 1 <= len(pids) <= 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_lowest_failing_index_wins(self, workers):
+        def fn(item):
+            if item in (3, 7):
+                raise ReplicationError(item, RankDeficientError(f"item {item}"))
+            return item
+
+        with pytest.raises(ReplicationError) as err:
+            parallel_map(fn, range(10), workers)
+        assert err.value.index == 3
+        assert isinstance(err.value.cause, RankDeficientError)
+        assert str(err.value.cause) == "item 3"
+        assert multiprocessing.active_children() == []
+
+    def test_errors_survive_pickling(self):
+        err = pickle.loads(pickle.dumps(ReplicationError(5, RankDeficientError("rank 9"))))
+        assert type(err) is ReplicationError
+        assert err.index == 5
+        assert str(err) == "replication 5 failed: RankDeficientError('rank 9')"
+        assert type(err.cause) is RankDeficientError
+        assert err.cause.args == ("rank 9",)
+
+    def test_pending_stdout_printed_once(self):
+        # stdout to a pipe is block-buffered: unless the buffer is flushed
+        # before the fork, each child flushes its copy again when it exits
+        script = ("import sys\n"
+                  "from ineqtest.mc_harness import parallel_map\n"
+                  "print('before')\n"
+                  "print(parallel_map(lambda i: i + 1, range(4), 2))\n")
+        src = str(Path(ineqtest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"before\n[1, 2, 3, 4]\n"

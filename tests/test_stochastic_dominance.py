@@ -199,6 +199,18 @@ class TestBbDraw:
             bb_draw([1.0, 2.0], "wild", np.random.default_rng(0))
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_reads_exactly_one_from_the_max(self, variant):
+        # a cumsum of normalized weights ends at 1 +- 1 ulp; the rows and
+        # the CDF objects must not
+        sample = np.linspace(0.05, 0.95, 20)
+        grid = np.append(sample, [0.95, 2.0])
+        rows = sd._posterior_rows(sample, variant, np.random.default_rng(3), 500, grid)
+        assert np.all(rows[:, -3:] == 1.0)
+        for seed in range(200):
+            draw = bb_draw(sample, variant, np.random.default_rng(seed))
+            assert np.all(draw.evaluate([0.95, 2.0]) == 1.0)
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_matches_batched_rows(self, variant):
         # bb_draw and the vectorized row evaluator consume the stream the
         # same way, so a same-seeded single draw must agree everywhere.
@@ -235,6 +247,17 @@ class TestPosteriorProbSd1:
         left = posterior_prob_sd1([1.0, 2.0], [11.0, 12.0], cfg=cfg)
         assert right.estimate == 1.0
         assert left.estimate == 0.0
+
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_rubin_max_is_not_a_violation(self, two_sample):
+        # only the draws whose row would read 1 + 1 ulp at the max hang on
+        # a tol of 1e-12, and no row does
+        x, y = fixed_design_sample(20, 1.0)
+        counts = {posterior_prob_sd1(x, y if two_sample else UNIFORM01,
+                                     cfg=SdConfig(draws=20_000, bootstrap=RUBIN, tol=tol),
+                                     rng=np.random.default_rng(3)).estimate
+                  for tol in (0.0, 1e-12)}
+        assert len(counts) == 1
 
     def test_tol_relaxes_the_check(self):
         x = [0.01, 0.02, 0.03, 0.04]
@@ -298,25 +321,27 @@ def _screened_cases(seed):
     one group per screen rule, on samples drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     n = 30
-    # one sample, banks: the sample max sits below the point where the
-    # reference plus tol reaches 1 (the step reference reaches 1 at 1.0)
+    # one sample: the sample max sits below the point where the reference
+    # plus tol reaches 1 (the step reference reaches 1 at 1.0)
     x1 = rng.uniform(0.0, 0.99, n)
     step = ecdf(np.append(rng.uniform(0.0, 1.0, n), 1.0))
     cases = [("one_sample", x1, UNIFORM01, BANKS, 0.0),
              ("one_sample", x1, UNIFORM01, BANKS, 0.005),
              ("one_sample", x1, lambda t: np.clip(t, 0.0, 1.0), BANKS, 0.0),
-             ("one_sample", x1, step, BANKS, 0.0)]
+             ("one_sample", x1, step, BANKS, 0.0),
+             ("one_sample", x1, UNIFORM01, RUBIN, 0.0),
+             ("one_sample", x1, step, RUBIN, 0.005)]
     # two samples, tol 0: min x < min y, with max x above max y so only
     # this rule applies
     y2 = rng.uniform(0.1, 1.0, n)
     x2 = rng.uniform(0.0, 1.2, n)
     x2[0], x2[1] = y2.min() - 0.01, y2.max() + 0.01
     cases += [("min", x2, y2, variant, 0.0) for variant in (RUBIN, BANKS)]
-    # two banks samples, tol 0: x strictly inside y's range, so max x <
-    # max y while min x > min y
+    # two samples, tol 0: x strictly inside y's range, so max x < max y
+    # while min x > min y
     y3 = rng.uniform(0.0, 1.0, n)
     x3 = rng.uniform(y3.min(), y3.max(), n + 5)
-    cases.append(("max", x3, y3, BANKS, 0.0))
+    cases += [("max", x3, y3, variant, 0.0) for variant in (RUBIN, BANKS)]
     return cases
 
 
@@ -351,29 +376,27 @@ class TestZeroPosteriorScreen:
                 assert count == 0
 
     def test_rules_apply_only_where_exact(self):
-        def screened(x, opponent, variant, tol):
+        # both variants read exactly 1 from the sample max on, so the
+        # rules do not depend on the variant
+        def screened(x, opponent, tol):
             ref, ys = sd._as_opponent(opponent)
             xs = np.sort(np.asarray(x, dtype=float))
             bound = None if ref is None else ref.evaluate(xs) + tol
-            return sd._zero_posterior(xs, bound, ys, variant, tol)
+            return sd._zero_posterior(xs, bound, ys, tol)
 
         x_low = [0.2, 0.5, 0.9]
-        assert screened(x_low, UNIFORM01, BANKS, 0.0)
-        # rubin reads 1 +- 1 ulp at the max, so it is never screened
-        assert not screened(x_low, UNIFORM01, RUBIN, 0.0)
+        assert screened(x_low, UNIFORM01, 0.0)
         # ref(x_(n)) + tol reaching 1 exactly leaves the posterior open
-        assert screened([0.2, 0.5, 0.9], UNIFORM01, BANKS, 0.0999)
-        assert not screened([0.2, 0.5, 0.9], UNIFORM01, BANKS, 0.1)
-        assert not screened([0.2, 0.5, 1.0], UNIFORM01, BANKS, 0.0)
+        assert screened(x_low, UNIFORM01, 0.0999)
+        assert not screened(x_low, UNIFORM01, 0.1)
+        assert not screened([0.2, 0.5, 1.0], UNIFORM01, 0.0)
         below, above = [0.1, 0.5, 0.7], [0.2, 0.6, 0.8]
-        for variant in (RUBIN, BANKS):
-            assert screened(below, above, variant, 0.0)
-            assert not screened(below, above, variant, 0.01)
-            assert not screened(above, below, variant, 0.0)
+        assert screened(below, above, 0.0)
+        assert not screened(below, above, 0.01)
+        assert not screened(above, below, 0.0)
         inside, outside = [0.3, 0.5], [0.2, 0.9]
-        assert screened(inside, outside, BANKS, 0.0)
-        assert not screened(inside, outside, BANKS, 0.01)
-        assert not screened(inside, outside, RUBIN, 0.0)
+        assert screened(inside, outside, 0.0)
+        assert not screened(inside, outside, 0.01)
 
     def test_unscreened_tol_gives_positive_posterior(self):
         # at ref(x_(n)) + tol == 1 the draws are walked and some dominate
@@ -547,20 +570,20 @@ for _n in (50, 300):
 PINNED_ORDER = [(two, variant, tol) for two in (False, True)
                 for variant in (RUBIN, BANKS) for tol in (0.0, 0.05)]
 PINNED_SD1_COUNTS = {
-    "ties": (435, 746, 990, 1302, 655, 1121, 1062, 1285),
+    "ties": (476, 746, 990, 1302, 914, 1121, 1062, 1285),
     "n1": (0, 2000, 0, 2000, 0, 105, 0, 121),
     "n1_opp": (0, 728, 0, 1159, 0, 92, 0, 195),
-    "n2": (0, 1360, 0, 1791, 929, 1146, 1417, 1498),
-    "sep_high": (1914, 2000, 2000, 2000, 1633, 2000, 2000, 2000),
+    "n2": (0, 1360, 0, 1791, 1053, 1146, 1417, 1498),
+    "sep_high": (2000, 2000, 2000, 2000, 2000, 2000, 2000, 2000),
     "sep_low": (0, 0, 0, 0, 0, 0, 0, 0),
     "fd50_h0.0": (0, 431, 0, 673, 0, 294, 0, 440),
     "su50_h0.0": (0, 212, 0, 353, 0, 265, 0, 322),
-    "fd50_h0.9": (1194, 1932, 1748, 1950, 762, 1651, 1362, 1731),
-    "su50_h0.9": (330, 1028, 551, 1169, 415, 1125, 752, 1206),
+    "fd50_h0.9": (1664, 1932, 1748, 1950, 1230, 1651, 1362, 1731),
+    "su50_h0.9": (432, 1028, 551, 1169, 644, 1125, 752, 1206),
     "fd300_h0.0": (0, 11775, 0, 12162, 0, 8208, 0, 8679),
-    "su300_h0.0": (0, 6429, 0, 6858, 88, 11836, 439, 12097),
-    "fd300_h0.9": (7393, 14970, 12497, 14979, 4754, 14409, 9136, 14493),
-    "su300_h0.9": (5199, 14921, 9410, 14947, 3050, 14291, 6079, 14378),
+    "su300_h0.0": (0, 6429, 0, 6858, 157, 11836, 439, 12097),
+    "fd300_h0.9": (12150, 14970, 12497, 14979, 8668, 14409, 9136, 14493),
+    "su300_h0.9": (8573, 14921, 9410, 14947, 5557, 14291, 6079, 14378),
 }
 
 # (sample, n_boot, rng seed, p-value)
