@@ -133,8 +133,9 @@ class RunConfig:
     delta: float = _option(_REAL, "table3 curvature slack", "R")
     region: str = _option(_region_spec, "null region (limit command)", "SPEC")
     theta: tuple = _option(_listed(_REAL), "parameter point (limit command)", "LIST")
-    workers: int = _option(_COUNT, "worker processes; a table's cells run in parallel "
-                           "(default 1)", "N", default=1, hashed=None)
+    workers: int = _option(_COUNT, "worker processes; a table's cells, and sd-test's "
+                           "posterior and dd bootstrap, run in parallel (default 1)", "N",
+                           default=1, hashed=None)
     dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
     x_file: str = _option(str, "newline-delimited sample for sd-test", "PATH",
                           hashed=_file_digest)
@@ -418,38 +419,37 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
     sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
                       dd_boot=cfg.dd_boot or 999)
     plan = SeedPlan(cfg.seed)
-    rows = []
+    rows, jobs = [], []
 
-    def post(x, opponent, *ids):
+    def post(x, opponent, ids):
         return posterior_prob_sd1(x, opponent, sd_cfg, plan.stream(*ids)).estimate
+
+    def non_post(x, opponent, ids):
+        return 1.0 - post(x, opponent, ids)
+
+    def dd(x, y, ids):
+        return dd_pvalue_nonsd1(x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(*ids))
+
+    def add(h0, n, h, comparison, method, job, *args):
+        rows.append(dict(h0=h0, n=n, h=h, comparison=comparison, method=method))
+        jobs.append(partial(job, *args))
 
     for ni, n in enumerate(ns):
         x0, y0 = fixed_design_sample(n, 0.0)
-        rows += [
-            dict(h0="sd1", n=n, h=0.0, comparison="one_sample", method="ks",
-                 value=ks_pvalue_sd1(x0, UNIFORM01)),
-            dict(h0="sd1", n=n, h=0.0, comparison="one_sample", method="bayes",
-                 value=post(x0, UNIFORM01, ni, 0, 0)),
-            dict(h0="sd1", n=n, h=0.0, comparison="two_sample", method="ks",
-                 value=ks_pvalue_sd1(x0, y0)),
-            dict(h0="sd1", n=n, h=0.0, comparison="two_sample", method="bayes",
-                 value=post(x0, y0, ni, 0, 1)),
-        ]
+        add("sd1", n, 0.0, "one_sample", "ks", ks_pvalue_sd1, x0, UNIFORM01)
+        add("sd1", n, 0.0, "one_sample", "bayes", post, x0, UNIFORM01, (ni, 0, 0))
+        add("sd1", n, 0.0, "two_sample", "ks", ks_pvalue_sd1, x0, y0)
+        add("sd1", n, 0.0, "two_sample", "bayes", post, x0, y0, (ni, 0, 1))
         for hi, h in enumerate(hs):
             x, y = fixed_design_sample(n, h)
-            rows += [
-                dict(h0="non_sd1", n=n, h=h, comparison="one_sample", method="iu_beta",
-                     value=iu_beta_pvalue_nonsd1(x)),
-                dict(h0="non_sd1", n=n, h=h, comparison="one_sample", method="bayes",
-                     value=1.0 - post(x, UNIFORM01, ni, 1 + hi, 0)),
-                dict(h0="non_sd1", n=n, h=h, comparison="two_sample", method="dd",
-                     value=dd_pvalue_nonsd1(x, y, n_boot=sd_cfg.dd_boot,
-                                            rng=plan.stream(ni, 1 + hi, 1))),
-                dict(h0="non_sd1", n=n, h=h, comparison="two_sample", method="iu_maxt",
-                     value=iu_maxt_pvalue_nonsd1(x, y)),
-                dict(h0="non_sd1", n=n, h=h, comparison="two_sample", method="bayes",
-                     value=1.0 - post(x, y, ni, 1 + hi, 2)),
-            ]
+            add("non_sd1", n, h, "one_sample", "iu_beta", iu_beta_pvalue_nonsd1, x)
+            add("non_sd1", n, h, "one_sample", "bayes", non_post, x, UNIFORM01, (ni, 1 + hi, 0))
+            add("non_sd1", n, h, "two_sample", "dd", dd, x, y, (ni, 1 + hi, 1))
+            add("non_sd1", n, h, "two_sample", "iu_maxt", iu_maxt_pvalue_nonsd1, x, y)
+            add("non_sd1", n, h, "two_sample", "bayes", non_post, x, y, (ni, 1 + hi, 2))
+    # every value reads its own stream, so each is a cell of its own
+    for row, value in zip(rows, _run_cells(jobs, cfg.workers)):
+        row["value"] = value
     return TableResult(key_columns=("h0", "n", "h", "comparison", "method"),
                        float_columns=("value",), rows=tuple(rows))
 
@@ -535,23 +535,25 @@ def cmd_sd_test(cfg: RunConfig) -> TableResult:
     sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
                       dd_boot=cfg.dd_boot or 999)
     plan = SeedPlan(cfg.seed)
-    rows = []
     if cfg.y_file is None:
         comparison = "one_sample"
         p_sd1 = posterior_prob_sd1(x, UNIFORM01, sd_cfg, plan.stream(0)).estimate
-        rows += [
+        rows = [
             dict(comparison=comparison, method="ks", value=ks_pvalue_sd1(x, UNIFORM01)),
             dict(comparison=comparison, method="iu_beta", value=iu_beta_pvalue_nonsd1(x)),
         ]
     else:
         comparison = "two_sample"
         y = _load_sample(cfg.y_file)
-        p_sd1 = posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate
-        rows += [
+        # the dd bootstrap and the posterior run side by side, the costlier
+        # posterior listed last so that it starts first
+        p_dd, p_sd1 = _run_cells([
+            partial(dd_pvalue_nonsd1, x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(1)),
+            lambda: posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate,
+        ], cfg.workers)
+        rows = [
             dict(comparison=comparison, method="ks", value=ks_pvalue_sd1(x, y)),
-            dict(comparison=comparison, method="dd",
-                 value=dd_pvalue_nonsd1(x, y, n_boot=sd_cfg.dd_boot,
-                                        rng=plan.stream(1))),
+            dict(comparison=comparison, method="dd", value=p_dd),
             dict(comparison=comparison, method="iu_maxt",
                  value=iu_maxt_pvalue_nonsd1(x, y)),
         ]

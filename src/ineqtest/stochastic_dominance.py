@@ -15,6 +15,7 @@ evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -242,12 +243,20 @@ def _posterior_rows(sample, variant, rng, draws, grid):
 
 
 # a draw block has _BLOCK_ELEMS // (pooled grid points) draws, so its weight
-# rows hold about _BLOCK_ELEMS floats; keeps large-draw posteriors at tens
-# of MB
+# rows hold about _BLOCK_ELEMS floats per sample; keeps large-draw
+# posteriors at tens of MB; output does not depend on it
 _BLOCK_ELEMS = 4_000_000
 # grid columns evaluated per step of the dominance walk; output does not
 # depend on it
 _CHUNK_COLS = 64
+
+
+def _substreams(rng, k):
+    """k PCG64 generators on children spawned from the SeedSequence behind
+    ``rng``.  The bit generator's state is left as it is; its SeedSequence
+    counts the children, so the next call on ``rng`` gets fresh ones."""
+    return [np.random.Generator(np.random.PCG64(seq))
+            for seq in rng.bit_generator.seed_seq.spawn(k)]
 
 
 def _zero_posterior(xs, fixed_bound, ys, tol):
@@ -272,30 +281,28 @@ def _zero_posterior(xs, fixed_bound, ys, tol):
     return tol == 0 and (xs[0] < ys[0] or xs[-1] < ys[-1])
 
 
-def _dominated_count(x, ref, ys, variant, draws, tol, rng):
+def _dominated_count(x, ref, ys, variant, draws, tol, rx, ry):
     """Number of posterior draws with F_X <= bound + tol on the pooled
     grid, against the reference CDF ``ref`` or the sorted opponent sample
     ``ys`` (see _as_opponent).
 
-    Weights are drawn in fixed-size draw blocks (X block, then the
-    opponent's block).  Within a block the grid is walked in chunks of
-    _CHUNK_COLS columns, keeping only the draws that have not yet violated
-    the bound: each chunk extends the alive rows' running CDF sums from a
-    per-row carry, compares those columns, and drops every violating row;
-    the block ends early once none is left.  The count equals that of a
-    whole-matrix evaluation bit for bit: the carry-extended cumsum adds the
-    same terms in the same order as a cumsum over the whole row, and the
-    weights are drawn in full blocks in the same order whatever the rows'
-    fate.
-
-    Against a fixed opponent CDF, blocking leaves the result identical to
-    one pass: X weight rows come row-major off a single stream.  Against a
-    sample opponent the X and Y draws interleave per block, so the block
-    size (a module constant) is part of the sampling scheme; results stay
-    reproducible for a given stream either way.
+    X's weight rows come off the generator ``rx`` and the opponent
+    sample's off ``ry``, each row-major, in lockstep draw blocks of
+    _BLOCK_ELEMS // (grid points) rows.  Within a block the grid is walked
+    in chunks of _CHUNK_COLS columns, keeping only the draws that have not
+    yet violated the bound: each chunk extends the alive rows' running CDF
+    sums from a per-row carry, compares those columns, and drops every
+    violating row; the block ends early once none is left.  The count
+    equals that of a whole-matrix evaluation bit for bit: the
+    carry-extended cumsum adds the same terms in the same order as a
+    cumsum over the whole row, and every block's rows are drawn in full
+    whatever their fate.  With two generators the rows a draw reads do not
+    depend on the block size, so neither the block size nor the chunk
+    width is part of the sampling scheme.  (With one generator as both
+    sources, X's and Y's blocks interleave on it, and the block size is.)
 
     Samples that _zero_posterior screens out count 0 before any weight is
-    drawn, so the stream is left where it was.
+    drawn.
     """
     xs = np.sort(np.asarray(x, dtype=float))
     if ys is None:
@@ -315,8 +322,8 @@ def _dominated_count(x, ref, ys, variant, draws, tol, rng):
     done = 0
     while done < draws:
         take = min(block, draws - done)
-        wx = _weight_rows(xs.size, variant, rng, take)
-        wy = None if ys is None else _weight_rows(ys.size, variant, rng, take)
+        wx = _weight_rows(xs.size, variant, rx, take)
+        wy = None if ys is None else _weight_rows(ys.size, variant, ry, take)
         alive = np.arange(take)
         cx, px = np.zeros(take), 0
         cy, py = np.zeros(take), 0
@@ -387,14 +394,21 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     every t in the evaluation grid (union of sample points, right-continuous
     values).  Against a raw opponent sample, both CDFs get independent
     posterior draws per iteration.
+
+    X's weights come from one PCG64 substream of ``rng`` and the opponent
+    sample's from a second (see _substreams), so ``rng`` must be built on
+    a SeedSequence, as SeedPlan streams and np.random.default_rng are.
+    ``rng``'s bit generator is not advanced, whatever the draws, and a
+    second call on it draws fresh weights.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)
+    rx, ry = _substreams(rng, 2)
     x = np.asarray(x_sample, dtype=float)
     ref, ys = _as_opponent(opponent)
     if x.size == 0 or (ys is not None and ys.size == 0):
         raise ValueError("empty sample")
-    count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rng)
+    count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rx, ry)
     p = count / cfg.draws
     return McSummary(estimate=p, mc_se=mc_se(p, cfg.draws), reps=cfg.draws, master_seed=None)
 
@@ -485,9 +499,10 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
     return float(1.0 - std_normal_cdf(t_min))
 
 
-# cap on replicate rows * pooled grid points reduced at once by the min-t
-# bootstrap, small enough for a block's counts to stay in cache and for a
-# decision-only test to stop after few rows; output does not depend on it
+# cap on replicate rows * pooled grid points drawn and reduced at once by
+# the min-t bootstrap, small enough for a block's counts to stay in cache
+# and for a decision-only test to stop after few rows; output does not
+# depend on it
 _DD_BLOCK_ELEMS = 25_000
 
 
@@ -529,12 +544,14 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None)
     The resampled empirical CDFs only change value at original sample
     points, so evaluating every bootstrap min-t on the original pooled
     grid is exact; per-row point counts come from one bincount per block
-    of replicate rows.  All uniforms are drawn up front, so the blocking
-    changes neither the stream nor any row's statistic.
+    of replicate rows.  Row r reads n + m uniforms off ``rng``, its n
+    x-uniforms then its m y-uniforms, and each block draws its own rows,
+    so the blocking changes neither the uniforms of a row nor its
+    statistic.
 
-    ``stop``, a pair (t_obs, limit), ends the reduction after the first
-    row block that brings the number of statistics >= t_obs to limit;
-    only the rows reduced so far are returned.
+    ``stop``, a pair (t_obs, limit), ends the drawing and the reduction
+    after the first row block that brings the number of statistics >=
+    t_obs to limit; only the rows drawn so far are returned.
     """
     n, m = x_sorted.size, y_sorted.size
     wx = _two_value_weights(n, kx, q)
@@ -551,14 +568,14 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None)
     # is a lookup instead of a search
     gx = np.searchsorted(grid, x_sorted, side="left")
     gy = np.searchsorted(grid, y_sorted, side="left")
-    ux = rng.random((n_boot, n))
-    uy = rng.random((n_boot, m))
     t_min = np.empty(n_boot)
     step = max(1, _DD_BLOCK_ELEMS // big)
     for r0 in range(0, n_boot, step):
-        sx = gx[_resample_index(cx, wx, kx, ux[r0:r0 + step])]
-        sy = gy[_resample_index(cy, wy, ky, uy[r0:r0 + step])]
-        rows = sx.shape[0]
+        rows = min(step, n_boot - r0)
+        u = rng.random((rows, n + m))
+        # contiguous copies: the index search reads them several times
+        sx = gx[_resample_index(cx, wx, kx, u[:, :n].copy())]
+        sy = gy[_resample_index(cy, wy, ky, u[:, n:].copy())]
         offset = np.arange(rows)[:, None] * big
         countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
         county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
@@ -585,17 +602,23 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     resamples from the weighted samples yield the reference distribution
     for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).
 
+    The resampling uniforms come from one PCG64 substream of ``rng`` (see
+    _substreams), drawn row by row in row blocks; ``rng``'s bit generator
+    is not advanced.
+
     With ``alpha`` set, only whether p <= alpha is wanted.  The bootstrap
-    then stops once #{t* >= t_obs} reaches the smallest count whose p, by
-    the same float expression, exceeds alpha (the sequential Monte Carlo
-    test of Besag and Clifford 1991), and returns the p of the rows
-    reduced so far.  That value is the full p-value when it is <= alpha,
-    and otherwise only known to exceed alpha, so ``p <= alpha`` is the
-    same decision either way.  Every uniform is still drawn, so the stream
-    is left where the full p-value leaves it.
+    then stops drawing and reducing rows once #{t* >= t_obs} reaches the
+    smallest count whose p, by the same float expression, exceeds alpha
+    (the sequential Monte Carlo test of Besag and Clifford 1991), and
+    returns the p of the rows drawn so far.  That value is the full
+    p-value when it is <= alpha, and otherwise only known to exceed
+    alpha, so ``p <= alpha`` is the same decision either way.  A row's
+    uniforms do not depend on the stop, so the rows drawn are the first
+    rows of the full p-value's.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)
+    sub, = _substreams(rng, 1)
     x = np.sort(np.asarray(x_sample, dtype=float))
     y = np.sort(np.asarray(y_sample, dtype=float))
     n, m = x.size, y.size
@@ -613,7 +636,7 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
         if over.size:
             stop = (t_obs, int(over[0]))
     # degenerate splits cannot occur: the argmin has both ECDFs in (0, 1)
-    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, rng, stop)
+    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, sub, stop)
     return float((1.0 + np.sum(t_star >= t_obs)) / (n_boot + 1.0))
 
 
@@ -626,24 +649,26 @@ def _draw_shifted_uniform(n, h, rng):
     return rng.uniform(shift, 1.0 + shift, n)
 
 
-# two-sided confidence level of the Clopper-Pearson interval that decides
-# whether an adaptive Bayesian replication is topped up
-_TOPUP_CONFIDENCE = 1.0 - 1e-3
+# bound on the chance that an adaptive Bayesian replication stops at a look
+# whose Clopper-Pearson interval misses the exact posterior probability;
+# split evenly over the looks (Bonferroni)
+_TOPUP_ERROR = 1e-3
 
 
-def _topup_counts(first, alpha):
-    """Range (lo, hi) of counts k of null draws out of ``first`` whose
-    Clopper-Pearson interval at level _TOPUP_CONFIDENCE covers alpha.
+@functools.cache
+def _topup_counts(draws, alpha, error):
+    """Range (lo, hi) of counts k of null draws out of ``draws`` whose
+    two-sided Clopper-Pearson interval at level 1 - error covers alpha.
 
     Both interval ends increase with k, so the covering counts are one
     range; consecutive intervals overlap, so it is never empty.
     """
-    tail = (1.0 - _TOPUP_CONFIDENCE) / 2.0
-    k = np.arange(first + 1, dtype=float)
-    lower = np.zeros(first + 1)
-    lower[1:] = beta_quantile(tail, k[1:], first - k[1:] + 1.0)
-    upper = np.ones(first + 1)
-    upper[:-1] = beta_quantile(1.0 - tail, k[:-1] + 1.0, first - k[:-1])
+    tail = error / 2.0
+    k = np.arange(draws + 1, dtype=float)
+    lower = np.zeros(draws + 1)
+    lower[1:] = beta_quantile(tail, k[1:], draws - k[1:] + 1.0)
+    upper = np.ones(draws + 1)
+    upper[:-1] = beta_quantile(1.0 - tail, k[:-1] + 1.0, draws - k[:-1])
     covered = np.flatnonzero((lower <= alpha) & (alpha <= upper))
     return int(covered[0]), int(covered[-1])
 
@@ -665,19 +690,22 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     passes alpha to dd_pvalue_nonsd1, whose bootstrap stops once p > alpha
     is certain; the decision is that of the full p-value.
 
-    adaptive_draws, when set to (initial, extra), runs the Bayesian
-    posterior with ``initial`` draws first and tops up with ``extra`` more
-    (pooling both batches) only when the first stage has not decided the
-    test: when the two-sided Clopper-Pearson interval at level
-    _TOPUP_CONFIDENCE (1 - 1e-3) for the null probability, computed from
-    the first-stage count of null draws, covers alpha.  An interval that
-    excludes alpha lies on the same side of it as the first-stage estimate,
-    and it excludes the exact posterior probability with probability at
-    most 1e-3, so a replication that stops early decides differently from
-    the exact posterior at most that often (the sequential Monte Carlo
-    stop rules of Davidson and MacKinnon 2000 and Gandy 2009).  The covered
-    counts form one range, computed once per call, so each replication's
-    check is two integer comparisons.
+    adaptive_draws, when set to (initial, extra), spends the Bayesian
+    posterior's draws in batches of ``initial`` draws, each a fresh
+    posterior_prob_sd1 call on the replication's stream, up to
+    ``initial + extra`` draws in all (the last batch may be short).  After
+    every batch but the last, the null draws counted so far give a
+    two-sided Clopper-Pearson interval for the null probability; the
+    replication stops there, deciding on the pooled estimate, once that
+    interval excludes alpha (multi-stage sequential Monte Carlo tests,
+    Davidson and MacKinnon 2000 and Gandy 2009).  An interval that excludes
+    alpha lies on the same side of it as the pooled estimate.  Each look's
+    interval has level 1 - _TOPUP_ERROR / looks, so the chance that some
+    look's interval excludes the exact posterior probability, and with it
+    the chance that a replication which stops early decides differently
+    from the exact posterior, is at most _TOPUP_ERROR (1e-3) by
+    Bonferroni.  The covering counts form one range per look, computed
+    once per process, so each look is two integer comparisons.
     """
     if null not in ("sd1", "non_sd1"):
         raise ValueError("null must be 'sd1' or 'non_sd1'")
@@ -689,30 +717,32 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     if method in ("dd", "iu_maxt") and not two_sample:
         raise ValueError(f"{method} is a two-sample test")
 
-    if method == "bayes" and adaptive_draws is not None:
-        first, extra = adaptive_draws
-        lo, hi = _topup_counts(first, alpha)
-        # the range is in null-draw counts; one_rep sees dominance counts
-        topup_lo, topup_hi = (lo, hi) if null == "sd1" else (first - hi, first - lo)
+    if method == "bayes":
+        batch, extra = adaptive_draws or (cfg.draws, 0)
+        total = batch + extra
+        # cumulative draw counts after which a replication may stop
+        looks = range(batch, total, batch)
+        error = _TOPUP_ERROR / max(1, len(looks))
+        covering = {d: _topup_counts(d, alpha, error) for d in looks}
+
+    def bayes_null_posterior(x, opponent, rng):
+        nulls = done = 0
+        while done < total:
+            take = min(batch, total - done)
+            p = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=take), rng=rng).estimate
+            dominated = round(p * take)
+            nulls += dominated if null == "sd1" else take - dominated
+            done += take
+            lo, hi = covering.get(done, (0, done))
+            if not lo <= nulls <= hi:
+                break
+        return nulls / done
 
     def one_rep(_, rng):
         x = _draw_shifted_uniform(n, h, rng)
         y = rng.uniform(0.0, 1.0, n) if two_sample else None
         if method == "bayes":
-            opponent = y if two_sample else UNIFORM01
-            if adaptive_draws is None:
-                post_sd1 = posterior_prob_sd1(x, opponent, cfg=cfg, rng=rng).estimate
-            else:
-                p1 = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=first),
-                                        rng=rng).estimate
-                if topup_lo <= round(p1 * first) <= topup_hi:
-                    p2 = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=extra),
-                                            rng=rng).estimate
-                    post_sd1 = (first * p1 + extra * p2) / (first + extra)
-                else:
-                    post_sd1 = p1
-            post_null = post_sd1 if null == "sd1" else 1.0 - post_sd1
-            return post_null <= alpha
+            return bayes_null_posterior(x, y if two_sample else UNIFORM01, rng) <= alpha
         if method == "ks":
             p = ks_pvalue_sd1(x, y if two_sample else UNIFORM01)
         elif method == "iu_beta":

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import ineqtest.cli as cli
+import ineqtest.stochastic_dominance as sd
 from ineqtest.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -567,8 +568,13 @@ class TestMain:
 
 # sha256 of the stdout of `table2 --reps 2 --n 100,1000 --seed 3`, recorded
 # before table2's zero-posterior screen and decision-only dd test existed;
-# neither may move a byte
+# neither may move a byte.  The PCG64 posterior and dd substreams left it
+# as it was: every one of its two-replication decisions lies far from alpha.
 TABLE2_GOLDEN_SHA256 = "5510edcdaf2a06b3918973ec8395ec0b985a0d8e8dfdbfa418b732c6629e5f3a"
+# sha256 of the stdout of `table1 --n 100 --draws 400 --dd-boot 99 --seed 3`
+# under the PCG64 posterior and dd substreams; its full-precision posteriors
+# and dd p-values move with any change to the weights or uniforms drawn
+TABLE1_GOLDEN_SHA256 = "16b84cc20ec96aa1128fbd412655d23d10d2c81cb46b431b3590e7709035767c"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -578,6 +584,50 @@ def test_table2_golden_output(capsys, workers):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE2_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_table1_golden_output(capsys, workers):
+    argv = ["--command", "table1", "--n", "100", "--draws", "400", "--dd-boot", "99",
+            "--seed", "3", "--workers", workers]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE1_GOLDEN_SHA256
+
+
+def _sample_files(tmp_path, n=60):
+    """Paths of an x sample shifted up and a uniform y sample."""
+    rng = np.random.default_rng(n)
+    xp, yp = tmp_path / "x.txt", tmp_path / "y.txt"
+    np.savetxt(xp, rng.uniform(0.15, 1.15, n), fmt="%.17g")
+    np.savetxt(yp, rng.uniform(0.0, 1.0, n), fmt="%.17g")
+    return str(xp), str(yp)
+
+
+def _stochastic_commands(tmp_path):
+    xp, yp = _sample_files(tmp_path)
+    return [["--command", "table1", "--n", "60", "--h", "0.0,0.9", "--draws", "300",
+             "--dd-boot", "49"],
+            ["--command", "table2", "--reps", "4", "--n", "60", "--h", "0.0,1.3",
+             "--dd-boot", "49"],
+            ["--command", "sd-test", "--x-file", xp, "--draws", "500"],
+            ["--command", "sd-test", "--x-file", xp, "--y-file", yp, "--draws", "500",
+             "--dd-boot", "99"]]
+
+
+def test_stdout_ignores_block_constants(monkeypatch, capsys, tmp_path):
+    # the draw blocks, walk chunks and dd row blocks only cut the work up
+    settings = [dict(_BLOCK_ELEMS=600, _CHUNK_COLS=5, _DD_BLOCK_ELEMS=1),
+                dict(_BLOCK_ELEMS=10 ** 9, _CHUNK_COLS=10 ** 4, _DD_BLOCK_ELEMS=10 ** 8)]
+    for argv in _stochastic_commands(tmp_path):
+        assert main(argv) == EXIT_OK
+        want = capsys.readouterr().out
+        for setting in settings:
+            for name, value in setting.items():
+                monkeypatch.setattr(sd, name, value)
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == want
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +651,7 @@ def _python(*args):
     ["--command", "table3", "--reps", "3"],
     ["--command", "limit", "--region", "interval:[-1,0]", "--theta", "0",
      "--alpha", "0.05,0.1", "--reps", "3000"],
+    ["--command", "table1", "--n", "100", "--draws", "400", "--dd-boot", "99"],
 ])
 def test_piped_stdout_identical_across_workers(argv):
     outputs = []
@@ -611,6 +662,20 @@ def test_piped_stdout_identical_across_workers(argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].count(b"\n") > 2
+
+
+@pytest.mark.parametrize("two_sample", [False, True])
+def test_piped_sd_test_identical_across_workers(tmp_path, two_sample):
+    xp, yp = _sample_files(tmp_path, n=400)
+    argv = ["--command", "sd-test", "--x-file", xp] + (["--y-file", yp] if two_sample else [])
+    outputs = []
+    for workers in ("1", "2", "4"):
+        proc = _python("-m", "ineqtest.cli", *argv, "--workers", workers)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == b""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") == (6 if two_sample else 5)
 
 
 @pytest.mark.parametrize("argv", [

@@ -278,17 +278,53 @@ class TestPosteriorProbSd1:
         assert out.mc_se == pytest.approx(
             math.sqrt(out.estimate * (1 - out.estimate) / 400))
 
+    @staticmethod
+    def _estimates_over_blocks(monkeypatch, x, opponent, draws):
+        # each sample's weight rows come off its own substream row-major,
+        # so the block size does not decide which weights a draw reads
+        out = set()
+        for block in (64, sd._BLOCK_ELEMS, 10 ** 9):
+            monkeypatch.setattr(sd, "_BLOCK_ELEMS", block)
+            out.add(posterior_prob_sd1(x, opponent, cfg=SdConfig(draws=draws),
+                                       rng=np.random.default_rng(9)).estimate)
+        return out
+
     def test_blocking_invariant_for_reference_opponent(self, monkeypatch):
-        # Forcing tiny blocks must not change the count against a fixed
-        # opponent: X weight rows come off the stream row-major either way.
         x, _ = fixed_design_sample(40, 0.6)
-        cfg = SdConfig(draws=250)
-        full = posterior_prob_sd1(x, UNIFORM01, cfg=cfg,
-                                  rng=np.random.default_rng(9))
-        monkeypatch.setattr(sd, "_BLOCK_ELEMS", 64)
-        tiny = posterior_prob_sd1(x, UNIFORM01, cfg=cfg,
-                                  rng=np.random.default_rng(9))
-        assert full.estimate == tiny.estimate
+        estimates = self._estimates_over_blocks(monkeypatch, x, UNIFORM01, 250)
+        assert len(estimates) == 1
+
+    def test_blocking_invariant_for_sample_opponent(self, monkeypatch):
+        for n, h in ((40, 0.6), (300, 0.9)):
+            x, y = _shifted_pair(n, h, n)
+            estimates = self._estimates_over_blocks(monkeypatch, x, y, 1500)
+            assert len(estimates) == 1
+            assert 0.0 < estimates.pop() < 1.0
+
+    def test_caller_stream_ignores_draws(self):
+        # the weights come from spawned substreams: the caller's bit
+        # generator never moves, and each call spawns the same number of
+        # children whatever it draws or screens out
+        x, y = fixed_design_sample(30, 0.5)
+        ends = set()
+        for opponent, draws in ((UNIFORM01, 1), (UNIFORM01, 3000), (y, 7), (y, 2500),
+                                ([9.0, 9.5], 100)):
+            rng = np.random.default_rng(4)
+            state = rng.bit_generator.state
+            posterior_prob_sd1(x, opponent, cfg=SdConfig(draws=draws), rng=rng)
+            assert rng.bit_generator.state == state
+            ends.add(rng.bit_generator.seed_seq.n_children_spawned)
+        assert ends == {2}
+
+    def test_calls_on_one_stream_draw_fresh_weights(self):
+        x, y = fixed_design_sample(50, 0.9)
+        rng = np.random.default_rng(5)
+        first, second = (posterior_prob_sd1(x, y, cfg=SdConfig(draws=2000), rng=rng).estimate
+                         for _ in range(2))
+        assert first != second
+        again = posterior_prob_sd1(x, y, cfg=SdConfig(draws=2000),
+                                   rng=np.random.default_rng(5)).estimate
+        assert again == first
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -372,7 +408,7 @@ class TestZeroPosteriorScreen:
             for _, x, opponent, variant, tol in _screened_cases(seed):
                 ref, ys = sd._as_opponent(opponent)
                 count = sd._dominated_count(x, ref, ys, variant, 200, tol,
-                                            np.random.default_rng(seed))
+                                            *sd._substreams(np.random.default_rng(seed), 2))
                 assert count == 0
 
     def test_rules_apply_only_where_exact(self):
@@ -540,9 +576,10 @@ class TestDdPvalue:
 # ---------------------------------------------------------------------------
 # pinned posterior counts and dd p-values
 #
-# Exact outputs recorded from the whole-matrix evaluator that preceded the
-# chunked one.  Any change to the weights drawn, their order, or the CDF
-# arithmetic moves at least one of these counts.
+# Exact outputs of the current sampling scheme: PCG64 substreams spawned
+# from the caller's generator, one per sample.  Any change to the weights
+# drawn, their order, or the CDF arithmetic moves at least one of these
+# counts.
 
 
 def _shifted_pair(n, h, seed):
@@ -570,6 +607,27 @@ for _n in (50, 300):
 PINNED_ORDER = [(two, variant, tol) for two in (False, True)
                 for variant in (RUBIN, BANKS) for tol in (0.0, 0.05)]
 PINNED_SD1_COUNTS = {
+    "ties": (467, 755, 979, 1278, 938, 1165, 1050, 1257),
+    "n1": (0, 2000, 0, 2000, 0, 105, 0, 133),
+    "n1_opp": (0, 690, 0, 1194, 0, 95, 0, 215),
+    "n2": (0, 1355, 0, 1801, 988, 1083, 1426, 1520),
+    "sep_high": (2000, 2000, 2000, 2000, 2000, 2000, 2000, 2000),
+    "sep_low": (0, 0, 0, 0, 0, 0, 0, 0),
+    "fd50_h0.0": (0, 427, 0, 654, 0, 286, 0, 434),
+    "su50_h0.0": (0, 217, 0, 358, 0, 270, 0, 334),
+    "fd50_h0.9": (1618, 1911, 1725, 1947, 1243, 1623, 1344, 1744),
+    "su50_h0.9": (468, 996, 546, 1152, 632, 1113, 771, 1274),
+    "fd300_h0.0": (0, 11764, 0, 12155, 0, 8189, 0, 8763),
+    "su300_h0.0": (0, 6354, 0, 6877, 172, 11690, 470, 12126),
+    "fd300_h0.9": (12140, 14981, 12506, 14978, 8626, 14419, 9150, 14438),
+    "su300_h0.9": (8521, 14939, 9348, 14954, 5551, 14320, 6190, 14363),
+}
+
+# The counts the walk gave when X's and Y's weights shared the caller's
+# generator, X's block before Y's block, at the default _BLOCK_ELEMS.  Fed
+# one generator as both weight sources, the walk must still give them:
+# the re-roll changed where the weights come from, not the walk.
+SHARED_STREAM_SD1_COUNTS = {
     "ties": (476, 746, 990, 1302, 914, 1121, 1062, 1285),
     "n1": (0, 2000, 0, 2000, 0, 105, 0, 121),
     "n1_opp": (0, 728, 0, 1159, 0, 92, 0, 195),
@@ -588,11 +646,11 @@ PINNED_SD1_COUNTS = {
 
 # (sample, n_boot, rng seed, p-value)
 PINNED_DD = [
-    ("fd60_h0.9", 99, 1, 0.03),
-    ("fd100_h0.9", 999, 2, 0.019),
-    ("su300_h0.9", 499, 3, 0.12),
+    ("fd60_h0.9", 99, 1, 0.04),
+    ("fd100_h0.9", 999, 2, 0.014),
+    ("su300_h0.9", 499, 3, 0.152),
     ("ties", 199, 4, 1.0),
-    ("fd50_h0.9", 999, 5, 0.032),
+    ("fd50_h0.9", 999, 5, 0.025),
 ]
 PINNED_DD_SAMPLES = dict(PINNED_SAMPLES,
                          **{"fd60_h0.9": fixed_design_sample(60, 0.9),
@@ -642,6 +700,24 @@ class TestPinnedOutputs:
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", 1)
         self.test_dd_pvalues()
 
+    @pytest.mark.parametrize("block", [None, 10 ** 9])
+    @pytest.mark.parametrize("name", list(SHARED_STREAM_SD1_COUNTS))
+    def test_walk_unchanged_on_a_shared_stream(self, monkeypatch, name, block):
+        # block None keeps the default; 10 ** 9 puts every draw in one
+        # block, where X's and Y's blocks interleave as at the default only
+        # when the default already held every draw
+        x, y = PINNED_SAMPLES[name]
+        draws = _pinned_draws(name)
+        spans_blocks = draws > sd._BLOCK_ELEMS // (len(x) + len(y))
+        if block is not None:
+            monkeypatch.setattr(sd, "_BLOCK_ELEMS", block)
+        for (two, variant, tol), want in zip(PINNED_ORDER, SHARED_STREAM_SD1_COUNTS[name]):
+            if block is not None and two and spans_blocks:
+                continue
+            ref, ys = sd._as_opponent(y if two else UNIFORM01)
+            shared = np.random.default_rng(7)
+            assert sd._dominated_count(x, ref, ys, variant, draws, tol, shared, shared) == want
+
 
 # ---------------------------------------------------------------------------
 # decision-only dd test (Besag-Clifford stop)
@@ -660,12 +736,12 @@ def _dd_stop_count(n_boot, alpha):
 # bootstrap (also seeded by seed) counts one short of the stop count or
 # exactly the stop count, for every n_boot and alpha
 DD_BOUNDARY = [
-    (20, 1.3, 6, 19, 0.05, 0.05), (20, 1.3, 17, 19, 0.05, 0.1),
-    (20, 1.3, 17, 19, 0.1, 0.1), (20, 1.3, 16, 19, 0.1, 0.15),
-    (20, 1.3, 39, 99, 0.05, 0.05), (20, 1.3, 11, 99, 0.05, 0.06),
-    (20, 1.3, 6, 99, 0.1, 0.1), (100, 1.3, 10, 99, 0.1, 0.11),
-    (20, 1.3, 19, 199, 0.05, 0.05), (20, 1.3, 133, 199, 0.05, 0.055),
-    (20, 1.3, 9, 199, 0.1, 0.1), (20, 1.3, 5, 199, 0.1, 0.105),
+    (20, 1.3, 7, 19, 0.05, 0.05), (20, 1.3, 2, 19, 0.05, 0.1),
+    (20, 1.3, 2, 19, 0.1, 0.1), (20, 1.3, 5, 19, 0.1, 0.15),
+    (20, 1.3, 38, 99, 0.05, 0.05), (20, 1.3, 18, 99, 0.05, 0.06),
+    (20, 1.3, 6, 99, 0.1, 0.1), (100, 1.3, 72, 99, 0.1, 0.11),
+    (20, 1.3, 48, 199, 0.05, 0.05), (20, 1.3, 9, 199, 0.05, 0.055),
+    (20, 1.3, 39, 199, 0.1, 0.1), (20, 1.3, 72, 199, 0.1, 0.105),
 ]
 DD_BLOCKS = [1, sd._DD_BLOCK_ELEMS, 10 ** 8]
 
@@ -729,14 +805,39 @@ class TestDecisionOnlyDd:
         assert stopped.size == want
         np.testing.assert_array_equal(stopped, full[:want])
 
+    @pytest.mark.parametrize("block", DD_BLOCKS)
+    @pytest.mark.parametrize("case", DD_BOUNDARY)
+    def test_stop_draws_only_the_rows_it_reduces(self, monkeypatch, block, case):
+        # the substream ends where one that drew the returned rows' n + m
+        # uniforms each ends, full or stopped
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
+        n, h, seed, n_boot, alpha, _ = case
+        x, y = _shifted_pair(n, h, seed)
+        seen = []
+        bootstrap = sd._bootstrap_min_t_rows
+
+        def recorded(*args):
+            seen.append((bootstrap(*args), args[6]))
+            return seen[-1][0]
+
+        monkeypatch.setattr(sd, "_bootstrap_min_t_rows", recorded)
+        full, stopped = _dd_decisions(x, y, n_boot, alpha, seed)
+        assert (stopped <= alpha) == (full <= alpha)
+        for rows, substream in seen:
+            reference, = sd._substreams(np.random.default_rng(seed), 1)
+            reference.random(rows.size * (len(x) + len(y)))
+            assert substream.bit_generator.state == reference.bit_generator.state
+
     def test_stream_left_where_full_pvalue_leaves_it(self):
         x, y = _shifted_pair(100, 0.9, 3)
         ends = []
-        for alpha in (None, 0.1):
+        for sample, alpha in (((x, y), None), ((x, y), 0.1), ((y, x), None)):
             rng = np.random.default_rng(8)
-            dd_pvalue_nonsd1(x, y, n_boot=199, rng=rng, alpha=alpha)
-            ends.append(rng.bit_generator.state)
-        assert ends[0] == ends[1]
+            state = rng.bit_generator.state
+            dd_pvalue_nonsd1(*sample, n_boot=199, rng=rng, alpha=alpha)
+            assert rng.bit_generator.state == state
+            ends.append(rng.bit_generator.seed_seq.n_children_spawned)
+        assert ends == [1, 1, 1]
 
     def test_table2_dd_cell_matches_full_pvalue(self, monkeypatch):
         kwargs = dict(h=1.3, n=100, two_sample=True, null="non_sd1", method="dd",
@@ -804,10 +905,14 @@ class TestSdRejectionProbability:
 # adaptive top-up stop rule
 
 
-def _cp_covers(k, first, alpha):
-    """Whether the Clopper-Pearson interval for k successes out of first,
-    from scipy.stats.beta quantiles at the top-up level, covers alpha."""
-    tail = (1.0 - sd._TOPUP_CONFIDENCE) / 2.0
+# the per-look error of the (300, 1500) rule: five looks that may stop
+LOOK_ERROR = 1e-3 / 5
+
+
+def _cp_covers(k, first, alpha, error=LOOK_ERROR):
+    """Whether the Clopper-Pearson interval at level 1 - error for k
+    successes out of first, from scipy.stats.beta quantiles, covers alpha."""
+    tail = error / 2.0
     lower = 0.0 if k == 0 else stats.beta.ppf(tail, k, first - k + 1)
     upper = 1.0 if k == first else stats.beta.ppf(1.0 - tail, k + 1, first - k)
     return lower <= alpha <= upper
@@ -817,44 +922,72 @@ class TestTopupRule:
     @pytest.mark.parametrize("first", [40, 300])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9])
     def test_range_matches_clopper_pearson(self, first, alpha):
-        covered = [k for k in range(first + 1) if _cp_covers(k, first, alpha)]
-        assert covered == list(range(covered[0], covered[-1] + 1))
-        assert sd._topup_counts(first, alpha) == (covered[0], covered[-1])
+        for draws, error in ((first, LOOK_ERROR), (first, 1e-3), (5 * first, LOOK_ERROR)):
+            covered = [k for k in range(draws + 1) if _cp_covers(k, draws, alpha, error)]
+            assert covered == list(range(covered[0], covered[-1] + 1))
+            assert sd._topup_counts(draws, alpha, error) == (covered[0], covered[-1])
 
     def test_range_reaches_both_edges(self):
         # 0 of 40 still covers alpha = 0.05, and 40 of 40 covers 0.9
-        assert sd._topup_counts(40, 0.05)[0] == 0
-        assert sd._topup_counts(40, 0.9)[1] == 40
+        assert sd._topup_counts(40, 0.05, LOOK_ERROR)[0] == 0
+        assert sd._topup_counts(40, 0.9, LOOK_ERROR)[1] == 40
 
     @staticmethod
-    def _count_posteriors(monkeypatch, null, null_count, reps=6):
+    def _count_posteriors(monkeypatch, null, null_counts, reps=6, rule=(300, 1500)):
         """Draw counts of the posterior calls made by one adaptive bayes
-        cell whose first stage always sees ``null_count`` null draws out
-        of 300."""
-        calls = []
+        cell, and its rejection rate, when the posterior batches of every
+        replication see ``null_counts`` null draws in turn, the last one
+        repeated."""
+        calls, streams = [], []
 
         def fake(x_sample, opponent, cfg=SdConfig(), rng=None):
+            # each replication has its own stream: this call's batch number
+            # is the number of earlier calls on it
+            batch = sum(seen is rng for seen in streams)
+            streams.append(rng)
             calls.append(cfg.draws)
-            count = null_count if null == "sd1" else cfg.draws - null_count
+            k = null_counts[min(batch, len(null_counts) - 1)]
+            count = k if null == "sd1" else cfg.draws - k
             return McSummary(estimate=count / cfg.draws, mc_se=0.0, reps=cfg.draws,
                              master_seed=None)
 
         monkeypatch.setattr(sd, "posterior_prob_sd1", fake)
-        sd_rejection_probability(0.0, 20, False, null, "bayes", 0.1, reps=reps,
-                                 master_seed=3, adaptive_draws=(300, 1500))
-        return calls
+        out = sd_rejection_probability(0.0, 20, False, null, "bayes", 0.1, reps=reps,
+                                       master_seed=3, adaptive_draws=rule)
+        return calls, out.estimate
 
     @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
     def test_decided_first_stage_never_tops_up(self, monkeypatch, null):
         assert not _cp_covers(0, 300, 0.1)
-        assert self._count_posteriors(monkeypatch, null, 0) == [300] * 6
+        assert self._count_posteriors(monkeypatch, null, [0]) == ([300] * 6, 1.0)
 
     @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
     def test_straddling_count_always_tops_up(self, monkeypatch, null):
-        for k in (20, 30, 40):
-            assert _cp_covers(k, 300, 0.1)
-            assert self._count_posteriors(monkeypatch, null, k) == [300, 1500] * 6
-            monkeypatch.undo()
+        # 30 null draws in every batch of 300 keeps the pooled estimate at
+        # alpha itself, so every look's interval covers it
+        assert all(_cp_covers(30 * b, 300 * b, 0.1) for b in range(1, 6))
+        assert self._count_posteriors(monkeypatch, null, [30]) == ([300] * 36, 1.0)
+
+    @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
+    @pytest.mark.parametrize("script", [[30, 0], [30, 30, 0], [35, 30, 30, 80],
+                                        [40, 45], [25, 30, 20, 40, 30, 60]])
+    def test_stops_at_the_first_decided_look(self, monkeypatch, null, script):
+        # oracle: pool the scripted batches until a look's interval, from
+        # scipy's beta quantiles, excludes alpha, or the sixth batch is in
+        nulls = 0
+        for batches in range(1, 7):
+            nulls += script[min(batches, len(script)) - 1]
+            if not _cp_covers(nulls, 300 * batches, 0.1):
+                break
+        assert 1 < batches
+        rate = float(nulls / (300 * batches) <= 0.1)
+        assert self._count_posteriors(monkeypatch, null, script) == ([300] * batches * 6, rate)
+
+    def test_last_batch_is_short(self, monkeypatch):
+        # (300, 1000) looks after 300, 600, 900 and 1200 draws, then ends
+        # with 100 more
+        calls, _ = self._count_posteriors(monkeypatch, "sd1", [30], reps=2, rule=(300, 1000))
+        assert calls == [300, 300, 300, 300, 100] * 2
 
     def test_margin_tuple_rejected(self):
         with pytest.raises(ValueError):
