@@ -36,13 +36,13 @@ from .distributions import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
 
 REJECT = "reject"
 ACCEPT = "accept"
 
-# replications per block of a simulated rejection probability; part of the
-# sampling scheme, so it must never depend on the worker count
+# replications per block of a simulated rejection probability; block b
+# reads stream b, so this constant is part of the sampling scheme
 _REPS_PER_BLOCK = 1024
 
 
@@ -350,18 +350,13 @@ def kline_orthant_posterior(x) -> float:
 # testing and operating characteristics
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-
-
 def bayes_test(region, x, exp: Experiment, alpha, draws=2000, rng=None) -> str:
     """Rejects the null region iff its posterior probability is <= alpha.
 
     The comparison is inclusive and uses the Monte Carlo point estimate
     directly when no closed form exists.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     post = posterior_prob_region(region, x, exp, draws=draws, rng=rng)
     return REJECT if post.estimate <= alpha else ACCEPT
 
@@ -372,6 +367,7 @@ def halfspace_rejection_prob_exact(region: HalfSpace, theta, exp: Experiment, al
     Reject iff c.X >= c0 + sd * z_{1-alpha}, and c.X ~ N(c.theta, sd^2).
     At boundary points (c.theta = c0) this equals alpha identically.
     """
+    check_alpha(alpha)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     var = exp.cov.quad_form(region.c)
     if var <= 0.0:
@@ -381,13 +377,13 @@ def halfspace_rejection_prob_exact(region: HalfSpace, theta, exp: Experiment, al
     return float(1.0 - std_normal_cdf((region.c0 - region.c @ theta) / sd + z))
 
 
-def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws, plan,
-                         workers) -> McSummary:
+def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws,
+                         plan) -> McSummary:
     """Share of X ~ N(theta, Sigma) the test rejects.  Block b of
     _REPS_PER_BLOCK replications draws its observations in one call on
     plan.stream(b) and decides them with one comparison; regions without a
     closed form take per-row Monte Carlo posteriors from the same stream."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
 
     def decide_block(indices, rng):
@@ -398,20 +394,18 @@ def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws, pla
                                                    rng=rng).estimate for row in x])
         return post <= alpha
 
-    return run_replications(decide_block, reps, plan, workers=workers,
-                            block_size=_REPS_PER_BLOCK).summary
+    return run_replications(decide_block, reps, plan, _REPS_PER_BLOCK).summary
 
 
 def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
-                          draws=2000, master_seed=0, method="auto",
-                          workers=1) -> McSummary:
+                          draws=2000, master_seed=0, method="auto") -> McSummary:
     """Frequentist rejection probability of the posterior test at theta.
 
     method="auto" uses the exact formula for half-spaces, returned as an
     exact summary, and falls back to Monte Carlo otherwise; method="mc"
     forces simulation.  The Monte Carlo path simulates X ~ N(theta, Sigma)
     in fixed-size blocks on derived streams and applies the test, so
-    results are reproducible for any worker count.
+    results depend only on the seed.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
@@ -420,7 +414,7 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
         rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
         return McSummary(estimate=rp, mc_se=0.0, reps=0, master_seed=plan.master_seed,
                          exact=True)
-    return _simulated_rejection(region, theta, exp, alpha, reps, draws, plan, workers)
+    return _simulated_rejection(region, theta, exp, alpha, reps, draws, plan)
 
 
 @dataclass(frozen=True)
@@ -442,7 +436,7 @@ class SizeResult:
 
 
 def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_000,
-                       draws=2000, master_seed=0, workers=1) -> SizeResult:
+                       draws=2000, master_seed=0) -> SizeResult:
     """Max rejection probability over a user-supplied grid of null points.
 
     Grid points outside the region are tolerated (a closed null's boundary
@@ -455,8 +449,7 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
         raise ValueError("empty boundary grid")
     closure = tuple(j for j, t in enumerate(grid) if not region_membership(region, t))
     plan = SeedPlan.coerce(master_seed)
-    summaries = [_simulated_rejection(region, t, exp, alpha, reps, draws, plan.subplan(j),
-                                      workers)
+    summaries = [_simulated_rejection(region, t, exp, alpha, reps, draws, plan.subplan(j))
                  for j, t in enumerate(grid)]
     argmax = int(np.argmax([s.estimate for s in summaries]))
     thetas = tuple(tuple(float(v) for v in t) for t in grid)
@@ -467,6 +460,5 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
 def minimax_level_bounds(alpha) -> tuple:
     """Open-interval bounds (alpha, alpha/(1-alpha)) for the least favorable
     prior weight in the two-point minimax problem."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     return (float(alpha), float(alpha / (1.0 - alpha)))

@@ -3,13 +3,14 @@
 Every simulated probability in this package is produced here.  The
 replications are cut into consecutive blocks of a size fixed by the
 caller; block b consumes only the stream derived from (master_seed, b),
-its results land in a slot of their own, and the reduction is an exact
-integer sum per column.  Output is therefore bit-identical for any worker
-count and any execution order.
+and the blocks run in order, their counts adding up as exact integer
+sums per column.  Output therefore depends only on the seed and the
+block size.
 
-``parallel_map`` is the one parallel code path: blocks, and the cells of
-a table, run in forked worker processes, since the kernels' many short
-numpy calls hold the GIL and threads barely overlap them.
+``parallel_map`` is the one parallel code path: the cells of a table run
+in forked worker processes, since the kernels' many short numpy calls
+hold the GIL and threads barely overlap them.  A cell's replications run
+serially inside its worker.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_alpha(alpha):
+    """Refuses a test level outside the open interval (0, 1), nan included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
 
 
 def mc_se(p, n):
@@ -77,12 +84,11 @@ class SeedPlan:
 
 @dataclass(frozen=True)
 class RunReport:
-    """``summary`` describes indicator column 0; ``indicators`` holds every
-    replication's row and ``counts`` the exact count of every column."""
+    """``summary`` describes indicator column 0 and ``counts`` holds the
+    exact count of every column."""
 
     summary: McSummary
     wall_seconds: float
-    indicators: np.ndarray
     counts: tuple
 
 
@@ -159,67 +165,37 @@ def _indicator_rows(value, rows):
     return arr.astype(np.int64)
 
 
-def run_replications(task, reps, seed_plan: SeedPlan, workers=1,
-                     block_size=None) -> RunReport:
-    """Runs a replication task for indices range(reps) and averages.
+def run_replications(task, reps, seed_plan: SeedPlan, block_size) -> RunReport:
+    """Runs a block task over indices range(reps) and averages.
 
-    With ``block_size`` set, block b holds indices [b * block_size,
-    min((b + 1) * block_size, reps)) and ``task(indices, rng)`` runs once
-    per block on ``seed_plan.stream(b)``, returning one row of 0/1
-    indicators per index: an int array of shape (rows,) or (rows, k), with
-    the same k in every block.  Without it the task is scalar,
-    ``task(i, rng) -> 0/1`` on ``seed_plan.stream(i)``: the block-of-one
-    case.
-
-    With ``workers`` > 1 the blocks are cut into that many contiguous
-    spans, which run in forked worker processes through parallel_map: the
-    task need not pickle, but what it does besides returning its rows
-    stays in the worker.  The counts are exact integer sums, so permuting
-    execution order or changing ``workers`` never changes the report; only
+    Block b holds indices [b * block_size, min((b + 1) * block_size, reps))
+    and ``task(indices, rng)`` runs once per block, in block order, on
+    ``seed_plan.stream(b)``.  It returns one row of 0/1 indicators per
+    index: an int array of shape (rows,) or (rows, k), with the same shape
+    after the rows as block 0's.  The counts are exact integer sums, and
     ``block_size``, which callers hold as a constant, decides which stream
     a replication reads.  A failing block raises ReplicationError with the
-    first index of the lowest failing block.
+    block's first index; the blocks after it do not run.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
-    if block_size is None:
-        scalar_task, block_size = task, 1
-
-        def task(indices, rng):
-            value = scalar_task(int(indices[0]), rng)
-            if value not in (0, 1):
-                raise ValueError(f"task returned non-indicator {value!r}")
-            return np.array([bool(value)])
     if block_size < 1:
         raise ValueError("need block_size >= 1")
     t0 = time.perf_counter()
-
-    def run_block(b):
-        first = b * block_size
+    counts, width = 0, None
+    for b, first in enumerate(range(0, reps, block_size)):
         indices = np.arange(first, min(first + block_size, reps))
         try:
-            return _indicator_rows(task(indices, seed_plan.stream(b)), indices.size)
+            rows = _indicator_rows(task(indices, seed_plan.stream(b)), indices.size)
+            width = rows.shape[1:] if width is None else width
+            if rows.shape[1:] != width:
+                raise ValueError(f"task returned width {rows.shape[1:]}, block 0 {width}")
         except Exception as exc:  # noqa: BLE001, re-raised with its index
             raise ReplicationError(first, exc) from exc
+        counts = counts + rows.reshape(indices.size, -1).sum(axis=0)
 
-    n_blocks = -(-reps // block_size)
-    # one contiguous span of blocks per worker: a process sends one message
-    # per span, not per block, and the lowest failing span holds the lowest
-    # failing block
-    parts = min(max(1, int(workers)), n_blocks)
-    cuts = [k * n_blocks // parts for k in range(parts + 1)]
-    spans = parallel_map(lambda k: [run_block(b) for b in range(cuts[k], cuts[k + 1])],
-                         range(parts), workers)
-    blocks = [block for span in spans for block in span]
-    for b, block in enumerate(blocks):
-        if block.shape[1:] != blocks[0].shape[1:]:
-            raise ReplicationError(b * block_size, ValueError(
-                f"task returned width {block.shape[1:]}, block 0 {blocks[0].shape[1:]}"))
-
-    results = np.concatenate(blocks)
-    counts = tuple(int(c) for c in results.reshape(reps, -1).sum(axis=0))
+    counts = tuple(int(c) for c in counts)
     estimate = counts[0] / reps
     summary = McSummary(estimate=estimate, mc_se=mc_se(estimate, reps),
                         reps=reps, master_seed=seed_plan.master_seed)
-    return RunReport(summary=summary, wall_seconds=time.perf_counter() - t0,
-                     indicators=results, counts=counts)
+    return RunReport(summary=summary, wall_seconds=time.perf_counter() - t0, counts=counts)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import (beta_cdf, beta_quantile, dirichlet_flat_sample,
                             std_normal_cdf)
-from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
 
 RUBIN = "rubin"
 BANKS = "banks"
@@ -675,7 +675,7 @@ def _topup_counts(draws, alpha, error):
 
 def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
                              cfg: SdConfig = SdConfig(), master_seed=0,
-                             workers=1, adaptive_draws=None) -> McSummary:
+                             adaptive_draws=None) -> McSummary:
     """Simulated rejection rate for dominance tests under a uniform shift.
 
     Per replication, X ~ Unif(h/sqrt(n), 1 + h/sqrt(n)) with n points; the
@@ -707,6 +707,7 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     Bonferroni.  The covering counts form one range per look, computed
     once per process, so each look is two integer comparisons.
     """
+    check_alpha(alpha)
     if null not in ("sd1", "non_sd1"):
         raise ValueError("null must be 'sd1' or 'non_sd1'")
     valid = {"ks", "iu_beta", "dd", "iu_maxt", "bayes"}
@@ -742,7 +743,7 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
         x = _draw_shifted_uniform(n, h, rng)
         y = rng.uniform(0.0, 1.0, n) if two_sample else None
         if method == "bayes":
-            return bayes_null_posterior(x, y if two_sample else UNIFORM01, rng) <= alpha
+            return [bayes_null_posterior(x, y if two_sample else UNIFORM01, rng) <= alpha]
         if method == "ks":
             p = ks_pvalue_sd1(x, y if two_sample else UNIFORM01)
         elif method == "iu_beta":
@@ -751,8 +752,6 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
             p = dd_pvalue_nonsd1(x, y, n_boot=cfg.dd_boot, rng=rng, alpha=alpha)
         else:
             p = iu_maxt_pvalue_nonsd1(x, y)
-        return p <= alpha
+        return [p <= alpha]
 
-    plan = SeedPlan.coerce(master_seed)
-    report = run_replications(one_rep, reps, plan, workers=workers)
-    return report.summary
+    return run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1).summary

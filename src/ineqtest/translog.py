@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .distributions import dirichlet_flat_sample
-from .mc_harness import McSummary, SeedPlan, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
 
 NSD_TOL = 1e-7
 
@@ -374,9 +374,9 @@ def _posterior_free_rows(data: TranslogData, draws, rng):
 
     The product runs in row blocks of at most ``_GEMM_ELEMS``
     multiply-adds.  A larger product can make OpenBLAS start its own
-    threads (a 200-draw one at n = 100 does), and inside the replication
-    worker pool those oversubscribe the cores and cost more than they
-    save.
+    threads (a 200-draw one at n = 100 does), and inside the worker
+    processes that run table cells those oversubscribe the cores and cost
+    more than they save.
 
     A draw is singular when its solve fails, gives a non-finite row, or
     has fewer than ten positive weights (then X'WX has rank below ten even
@@ -449,16 +449,17 @@ class Type1Result:
 
 
 def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
-                    master_seed=0, workers=1) -> Type1Result:
+                    master_seed=0) -> Type1Result:
     """Simulated type I error of the curvature test: the fraction of
     samples whose posterior NSD probability falls at or below alpha."""
+    check_alpha(alpha)
+
     def one_rep(_, rng):
         data = simulate_dataset(dgp, rng)
         post = posterior_prob_nsd(data, draws=draws, rng=rng)
         return [[post.estimate <= alpha, monotone_at_unit(ols_fit(data)), post.redraws > 0]]
 
-    report = run_replications(one_rep, reps, SeedPlan.coerce(master_seed),
-                              workers=workers, block_size=1)
+    report = run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1)
     return Type1Result(rejection=report.summary,
                        monotonicity_rate=report.counts[1] / reps,
                        redrawn_reps=report.counts[2])

@@ -80,7 +80,7 @@ def test_criterion_2_halfspace_boundary_exactness():
     assert abs(exact2 - 0.05) <= 1e-12
 
     mc = rejection_probability(line, [0.0], scalar, alpha=0.05, reps=100_000,
-                               master_seed=21, method="mc", workers=4)
+                               master_seed=21, method="mc")
     assert abs(mc.estimate - 0.05) <= 3 * mc.mc_se
     assert time.perf_counter() - start < 10.0
 
@@ -90,16 +90,14 @@ def test_criterion_3_strict_size_inflation():
 
     interval = IntervalUnion(intervals=((-1.0, 0.0),))
     mc_iu = rejection_probability(interval, [0.0], Experiment.scalar(),
-                                  alpha=0.05, reps=100_000, master_seed=31,
-                                  workers=4)
+                                  alpha=0.05, reps=100_000, master_seed=31)
     rp_iu, _, _ = oracle_interval_rp(-1.0, 0.0, 0.05)   # 0.059284
     assert mc_iu.estimate - 0.05 > 3 * mc_iu.mc_se
     assert abs(mc_iu.estimate - rp_iu) <= 3 * mc_iu.mc_se
 
     orthant = Box.orthant(2)
     mc_orth = rejection_probability(orthant, np.zeros(2), Experiment.identity(2),
-                                    alpha=0.05, reps=100_000, master_seed=32,
-                                    workers=4)
+                                    alpha=0.05, reps=100_000, master_seed=32)
     rp_orth = oracle_orthant_rp(0.05)   # alpha * (1 - ln alpha) = 0.199787
     assert mc_orth.estimate - 0.05 > 3 * mc_orth.mc_se
     assert abs(mc_orth.estimate - rp_orth) <= 3 * mc_orth.mc_se
@@ -113,14 +111,14 @@ def test_criterion_4_signagree_size_both_directions():
     near_degenerate = Experiment(cov=CovarianceMatrix.from_correlation(-0.99))
     res_neg = size_over_boundary(region, [np.zeros(2)], near_degenerate,
                                  alpha=0.05, reps=100_000, draws=2000,
-                                 master_seed=41, workers=4)
+                                 master_seed=41)
     top_neg = res_neg.max_summary
     assert top_neg.estimate - 0.05 > 3 * top_neg.mc_se
 
     independent = Experiment.identity(2)
     res_zero = size_over_boundary(region, [np.zeros(2)], independent,
                                   alpha=0.05, reps=100_000, draws=2000,
-                                  master_seed=42, workers=4)
+                                  master_seed=42)
     top_zero = res_zero.max_summary
     assert 0.05 - top_zero.estimate > 3 * top_zero.mc_se
 
@@ -129,8 +127,7 @@ def test_criterion_4_signagree_size_both_directions():
     axes = [np.array([2.0, 0.0]), np.array([-2.0, 0.0]),
             np.array([0.0, 2.0]), np.array([0.0, -2.0])]
     res_axes = size_over_boundary(region, axes, independent, alpha=0.05,
-                                  reps=20_000, draws=2000, master_seed=43,
-                                  workers=4)
+                                  reps=20_000, draws=2000, master_seed=43)
     top_axes = res_axes.max_summary
     assert 0.05 - top_axes.estimate > 3 * top_axes.mc_se
 

@@ -575,6 +575,15 @@ TABLE2_GOLDEN_SHA256 = "5510edcdaf2a06b3918973ec8395ec0b985a0d8e8dfdbfa418b732c6
 # under the PCG64 posterior and dd substreams; its full-precision posteriors
 # and dd p-values move with any change to the weights or uniforms drawn
 TABLE1_GOLDEN_SHA256 = "16b84cc20ec96aa1128fbd412655d23d10d2c81cb46b431b3590e7709035767c"
+# sha256 of the stdout of `table3 --reps 4 --seed 3` and of `limit --reps
+# 5000 --seed 3` on three regions, recorded while the replication engine
+# still took scalar tasks and ran blocks in worker processes of its own
+TABLE3_GOLDEN_SHA256 = "d9bfdebf5dca662eaa4534b1990d14fad69e1f00a3c6c9676ca2b3f3ecc9ce02"
+LIMIT_GOLDEN_SHA256 = {
+    "interval:[-1,0]": "acf0da1fee6b397134bc2d5ae6d4be4c9c096a13830c70070a1fa02278211525",
+    "box:0..inf,0..inf": "3b71f67e63c3ffd221a756091a8af74e9b4f0a889a3ebe50327dbc255a8983c7",
+    "signagree": "f0a3760aa838c94e3980568a0961fcdda46be9e1b5d4e17d301474dbc09ed1c8",
+}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -593,6 +602,24 @@ def test_table1_golden_output(capsys, workers):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE1_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_table3_golden_output(capsys, workers):
+    argv = ["--command", "table3", "--reps", "4", "--seed", "3", "--workers", workers]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE3_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("region", sorted(LIMIT_GOLDEN_SHA256))
+def test_limit_golden_output(capsys, region, workers):
+    argv = ["--command", "limit", "--region", region, "--reps", "5000", "--seed", "3",
+            "--workers", workers]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LIMIT_GOLDEN_SHA256[region]
 
 
 def _sample_files(tmp_path, n=60):
@@ -708,12 +735,12 @@ def test_failing_cell_reports_alike_across_workers(monkeypatch, capsys):
     real = cli.type1_error_sim
 
     def fragile(dgp, alpha, reps, draws, master_seed):
-        def one_rep(i, rng):
-            if dgp.sigma_eps >= 0.2 and i == reps - 1:
+        def one_rep(indices, rng):
+            if dgp.sigma_eps >= 0.2 and indices[0] == reps - 1:
                 raise RankDeficientError(f"rank lost at sigma_eps {dgp.sigma_eps}")
-            return 0
+            return [0]
 
-        run_replications(one_rep, reps, master_seed)
+        run_replications(one_rep, reps, master_seed, 1)
         return real(dgp, alpha, reps=reps, draws=draws, master_seed=master_seed)
 
     monkeypatch.setattr(cli, "type1_error_sim", fragile)

@@ -493,14 +493,6 @@ class TestRejectionProbability:
                                   master_seed=21, method="mc")
         assert a.estimate == b.estimate
 
-    def test_worker_invariance(self):
-        region = IntervalUnion(intervals=((-1.0, 0.0),))
-        exp = Experiment.scalar()
-        runs = [rejection_probability(region, [0.0], exp, alpha=0.05, reps=600,
-                                      master_seed=7, workers=w)
-                for w in (1, 3)]
-        assert runs[0].estimate == runs[1].estimate
-
     def test_block_sampling_scheme(self):
         # block b of _REPS_PER_BLOCK replications draws its observations
         # in one call on stream(b)
@@ -517,7 +509,7 @@ class TestRejectionProbability:
                            size=min(_REPS_PER_BLOCK, reps - first))
             hits += sum(posterior_prob_region(region, row, exp).estimate <= 0.05 for row in x)
         got = rejection_probability(region, [0.0], exp, alpha=0.05, reps=reps,
-                                    master_seed=12, workers=2)
+                                    master_seed=12)
         assert got.estimate == hits / reps
 
     def test_alpha_validated(self):

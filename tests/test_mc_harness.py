@@ -1,5 +1,5 @@
 """Replication engine: determinism, reduction exactness, failure policy,
-and the forked parallel map under it."""
+and the forked parallel map that runs table cells."""
 
 import multiprocessing
 import os
@@ -14,9 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ineqtest
-from ineqtest.mc_harness import (McSummary, ReplicationError, SeedPlan, mc_se,
-                                 parallel_map, run_replications)
-from ineqtest.translog import RankDeficientError
+from ineqtest.limit_experiment import (Experiment, HalfSpace, IntervalUnion,
+                                       halfspace_rejection_prob_exact,
+                                       rejection_probability, size_over_boundary)
+from ineqtest.mc_harness import (McSummary, ReplicationError, SeedPlan, check_alpha,
+                                 mc_se, parallel_map, run_replications)
+from ineqtest.stochastic_dominance import sd_rejection_probability
+from ineqtest.translog import RankDeficientError, TranslogDgp, type1_error_sim
 
 
 class TestMcSe:
@@ -37,6 +41,31 @@ class TestMcSe:
     @given(st.floats(min_value=0, max_value=1), st.integers(min_value=1, max_value=10**9))
     def test_bounded_by_half_over_sqrt_n(self, p, n):
         assert 0.0 <= mc_se(p, n) <= 0.5 / np.sqrt(n) + 1e-15
+
+
+class TestCheckAlpha:
+    """Every entry point that simulates or computes a test's rejection
+    rate refuses a level outside (0, 1) before it spends anything."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_entry_points_refuse_bad_levels(self, alpha):
+        interval = IntervalUnion(intervals=((-1.0, 0.0),))
+        line = HalfSpace(c=np.array([1.0]), c0=0.0)
+        calls = [
+            lambda: check_alpha(alpha),
+            lambda: sd_rejection_probability(0.0, 30, False, "sd1", "ks", alpha, 20),
+            lambda: type1_error_sim(TranslogDgp(n=40, sigma_eps=0.3), alpha=alpha,
+                                    reps=3, draws=20),
+            lambda: rejection_probability(interval, [0.0], Experiment.scalar(), alpha,
+                                          reps=10),
+            lambda: rejection_probability(line, [0.0], Experiment.scalar(), alpha),
+            lambda: halfspace_rejection_prob_exact(line, [0.0], Experiment.scalar(), alpha),
+            lambda: size_over_boundary(interval, [[0.0]], Experiment.scalar(), alpha,
+                                       reps=10),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                call()
 
 
 class TestSeedPlan:
@@ -97,70 +126,61 @@ class TestMcSummary:
 
 
 class TestRunReplications:
+    """Blocks of one replication, the shape of the dominance and curvature
+    tables' tasks."""
+
     def test_constant_true_task(self):
-        report = run_replications(lambda i, rng: 1, 100, SeedPlan(0))
+        report = run_replications(lambda indices, rng: [1], 100, SeedPlan(0), 1)
         assert report.summary.estimate == 1.0
         assert report.summary.mc_se == 0.0
         assert report.summary.reps == 100
 
     def test_fair_coin_binomial_bound(self):
-        report = run_replications(lambda i, rng: rng.random() < 0.5, 10_000, SeedPlan(3))
+        report = run_replications(lambda indices, rng: [rng.random() < 0.5], 10_000,
+                                  SeedPlan(3), 1)
         assert abs(report.summary.estimate - 0.5) < 0.015
 
-    def test_worker_count_invariance(self):
-        def task(i, rng):
-            return rng.random() < 0.3
-
-        reports = [run_replications(task, 500, SeedPlan(11), workers=w)
-                   for w in (1, 2, 7)]
-        estimates = {r.summary.estimate for r in reports}
-        assert len(estimates) == 1
-
     def test_estimate_is_exact_indicator_mean(self):
-        report = run_replications(lambda i, rng: i % 3 == 0, 300, SeedPlan(0))
-        assert report.summary.estimate == report.indicators.mean()
-        assert report.indicators.sum() == 100
+        report = run_replications(lambda indices, rng: indices % 3 == 0, 300, SeedPlan(0), 1)
+        assert report.counts == (100,)
+        assert report.summary.estimate == 100 / 300
 
     def test_failure_reports_replication_index(self):
-        def task(i, rng):
-            if i == 17:
+        def task(indices, rng):
+            if indices[0] == 17:
                 raise RuntimeError("boom")
-            return 0
+            return [0]
 
         with pytest.raises(ReplicationError) as err:
-            run_replications(task, 50, SeedPlan(0))
+            run_replications(task, 50, SeedPlan(0), 1)
         assert err.value.index == 17
 
     def test_earliest_failure_wins_across_workers(self):
-        def task(i, rng):
-            if i in (13, 29):
+        ran = []
+
+        def task(indices, rng):
+            ran.append(int(indices[0]))
+            if indices[0] in (13, 29):
                 raise RuntimeError("boom")
-            return 0
+            return [0]
 
         with pytest.raises(ReplicationError) as err:
-            run_replications(task, 40, SeedPlan(0), workers=4)
+            run_replications(task, 40, SeedPlan(0), 1)
         assert err.value.index == 13
+        # the blocks run serially, in order, and stop at the first failure
+        assert ran == list(range(14))
 
     def test_non_indicator_return_rejected(self):
         with pytest.raises(ReplicationError):
-            run_replications(lambda i, rng: 0.5, 10, SeedPlan(0))
+            run_replications(lambda indices, rng: [0.5], 10, SeedPlan(0), 1)
 
     def test_bool_returns_allowed(self):
-        report = run_replications(lambda i, rng: True, 10, SeedPlan(0))
+        report = run_replications(lambda indices, rng: [True], 10, SeedPlan(0), 1)
         assert report.summary.estimate == 1.0
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
-            run_replications(lambda i, rng: 1, 0, SeedPlan(0))
-
-    def test_tasks_keyed_to_stream_not_order(self):
-        # replication i must see stream(i) regardless of worker layout
-        def task(i, rng):
-            return rng.integers(0, 2**31) % 2
-
-        one = run_replications(task, 64, SeedPlan(5), workers=1)
-        many = run_replications(task, 64, SeedPlan(5), workers=8)
-        assert np.array_equal(one.indicators, many.indicators)
+            run_replications(lambda indices, rng: [1], 0, SeedPlan(0), 1)
 
 
 class TestBlocks:
@@ -181,71 +201,23 @@ class TestBlocks:
             assert indices == list(range(first, min(first + 4, 10)))
             assert draw == SeedPlan(4).stream(b).random()
 
-    @pytest.mark.parametrize("reps", [5, 16, 37])
-    def test_worker_count_invariance(self, reps):
-        def task(indices, rng):
-            return rng.random(indices.size) < 0.4
-
-        runs = [run_replications(task, reps, SeedPlan(8), workers=w, block_size=16)
-                for w in (1, 2, 7)]
-        for run in runs[1:]:
-            assert np.array_equal(run.indicators, runs[0].indicators)
-            assert run.summary == runs[0].summary
-
-    def test_many_threads_with_fast_switching(self):
-        # more workers than cores and a short switch interval: every block
-        # still lands in its own slot, and the lowest failure still wins
-        def task(indices, rng):
-            return rng.random(indices.size) < 0.5
-
-        def failing(indices, rng):
-            if indices[0] % 30 == 0 and indices[0] >= 90:
-                raise RuntimeError("boom")
-            return task(indices, rng)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            serial = run_replications(task, 600, SeedPlan(9), block_size=3)
-            threaded = run_replications(task, 600, SeedPlan(9), workers=16, block_size=3)
-            with pytest.raises(ReplicationError) as err:
-                run_replications(failing, 600, SeedPlan(9), workers=16, block_size=3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(serial.indicators, threaded.indicators)
-        assert err.value.index == 90
-
     def test_two_columns_logged_and_counted(self):
         def task(indices, rng):
             return np.column_stack([indices % 2 == 0, indices % 3 == 0])
 
-        report = run_replications(task, 30, SeedPlan(0), workers=3, block_size=7)
-        assert report.indicators.shape == (30, 2)
-        assert report.indicators.dtype == np.int64
+        report = run_replications(task, 30, SeedPlan(0), block_size=7)
         assert report.counts == (15, 10)
+        assert all(type(c) is int for c in report.counts)
         assert report.summary.estimate == 0.5
 
-    def test_scalar_task_is_block_of_one(self):
-        def scalar(i, rng):
-            return rng.random() < 0.5
-
-        def block(indices, rng):
-            return [scalar(int(indices[0]), rng)]
-
-        a = run_replications(scalar, 40, SeedPlan(2))
-        b = run_replications(block, 40, SeedPlan(2), block_size=1)
-        assert np.array_equal(a.indicators, b.indicators)
-        assert a.counts == b.counts
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_lowest_failing_block_wins(self, workers):
+    def test_lowest_failing_block_wins(self):
         def task(indices, rng):
             if indices[0] in (24, 40, 56):
                 raise RuntimeError("boom")
             return np.zeros(indices.size, dtype=int)
 
         with pytest.raises(ReplicationError) as err:
-            run_replications(task, 70, SeedPlan(0), workers=workers, block_size=8)
+            run_replications(task, 70, SeedPlan(0), block_size=8)
         assert err.value.index == 24
         assert isinstance(err.value.cause, RuntimeError)
 

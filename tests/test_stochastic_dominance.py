@@ -874,13 +874,6 @@ class TestSdRejectionProbability:
         assert a.estimate == b.estimate
         assert 0.0 <= a.estimate <= 1.0
 
-    def test_worker_invariance(self):
-        kwargs = dict(h=0.9, n=30, two_sample=True, null="non_sd1",
-                      method="iu_maxt", alpha=0.1, reps=60, master_seed=8)
-        one = sd_rejection_probability(workers=1, **kwargs)
-        three = sd_rejection_probability(workers=3, **kwargs)
-        assert one.estimate == three.estimate
-
     def test_bayes_with_adaptive_draws(self):
         cfg = SdConfig(draws=40)
         out = sd_rejection_probability(0.9, 25, False, "non_sd1", "bayes", 0.1,

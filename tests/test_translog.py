@@ -550,8 +550,7 @@ class TestRedraws:
             posterior_prob_nsd(data, draws=20, rng=SeedPlan(1).stream(0))
         assert calls == [20] + [1] * _MAX_REDRAWS
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_redrawn_reps_counted(self, monkeypatch, workers):
+    def test_redrawn_reps_counted(self, monkeypatch):
         dgp = TranslogDgp(n=40, sigma_eps=0.4)
 
         def first_row_if(w):
@@ -566,8 +565,7 @@ class TestRedraws:
         clean = type1_error_sim(dgp, alpha=0.1, reps=12, draws=30, master_seed=6)
         assert clean.redrawn_reps == 0
         _singular_sampler(monkeypatch, first_row_if)
-        out = type1_error_sim(dgp, alpha=0.1, reps=12, draws=30, master_seed=6,
-                              workers=workers)
+        out = type1_error_sim(dgp, alpha=0.1, reps=12, draws=30, master_seed=6)
         assert out.redrawn_reps == want
 
 
@@ -579,15 +577,6 @@ class TestType1ErrorSim:
         assert out.rejection.estimate == 0.0
         assert out.monotonicity_rate == 1.0
         assert out.redrawn_reps == 0
-
-    def test_worker_invariance(self):
-        dgp = TranslogDgp(n=60, sigma_eps=0.5)
-        one = type1_error_sim(dgp, alpha=0.05, reps=30, draws=40,
-                              master_seed=2, workers=1)
-        four = type1_error_sim(dgp, alpha=0.05, reps=30, draws=40,
-                               master_seed=2, workers=4)
-        assert one.rejection.estimate == four.rejection.estimate
-        assert one.monotonicity_rate == four.monotonicity_rate
 
     def test_seed_recorded_and_plan_accepted(self):
         dgp = TranslogDgp(sigma_eps=0.0, n=60)
@@ -611,6 +600,6 @@ class TestType1ErrorSim:
             data = simulate_dataset(dgp, rng)
             reject += posterior_prob_nsd(data, draws=30, rng=rng).estimate <= 0.1
             mono += monotone_at_unit(ols_fit(data))
-        out = type1_error_sim(dgp, alpha=0.1, reps=6, draws=30, master_seed=5, workers=2)
+        out = type1_error_sim(dgp, alpha=0.1, reps=6, draws=30, master_seed=5)
         assert out.rejection.estimate == reject / 6
         assert out.monotonicity_rate == mono / 6
