@@ -119,7 +119,8 @@ class RunConfig:
     seed: int = _option(_scalar(int, lambda v: v >= 0, "a nonnegative integer"),
                         "master seed (default 0)", "U64", default=0)
     reps: int = _option(_COUNT, "Monte Carlo replications", "N")
-    draws: int = _option(_COUNT, "posterior draws per test", "N")
+    draws: int = _option(_COUNT, "posterior draws per test; for table2 a cap per "
+                         "replication, spent in batches of 300 (default 1800)", "N")
     alpha: tuple = _option(_listed(_LEVEL), "comma-separated levels", "LIST")
     out: str = _option(str, "output path (default stdout)", "PATH", hashed=None)
     format: str = _option(_choice(FORMATS), "output format (default csv)", "|".join(FORMATS),
@@ -405,12 +406,6 @@ def _load_sample(path):
     return data
 
 
-def _run_cells(jobs, workers):
-    """Results of a table's cells, each a call with its replications run
-    serially; the cells themselves run in ``workers`` processes."""
-    return parallel_map(lambda job: job(), jobs, workers)
-
-
 def cmd_table1(cfg: RunConfig) -> TableResult:
     from .stochastic_dominance import fixed_design_sample
 
@@ -448,7 +443,7 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
             add("non_sd1", n, h, "two_sample", "iu_maxt", iu_maxt_pvalue_nonsd1, x, y)
             add("non_sd1", n, h, "two_sample", "bayes", non_post, x, y, (ni, 1 + hi, 2))
     # every value reads its own stream, so each is a cell of its own
-    for row, value in zip(rows, _run_cells(jobs, cfg.workers)):
+    for row, value in zip(rows, parallel_map(jobs, cfg.workers)):
         row["value"] = value
     return TableResult(key_columns=("h0", "n", "h", "comparison", "method"),
                        float_columns=("value",), rows=tuple(rows))
@@ -459,10 +454,8 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
     hs = cfg.h or (0.0, 0.9, 1.3)
     alphas = cfg.alpha or (0.1,)
     reps = cfg.reps or 1000
-    sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
+    sd_cfg = SdConfig(draws=cfg.draws or 1800, bootstrap=cfg.bootstrap or BANKS,
                       dd_boot=cfg.dd_boot or 199)
-    # with no explicit draw count, spend draws only near the threshold
-    adaptive = None if cfg.draws else (300, 1500)
     plan = SeedPlan(cfg.seed)
     rows, jobs = [], []
     cell = 0
@@ -476,13 +469,12 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
             for ai, alpha in enumerate(alphas):
                 jobs.append(partial(
                     sd_rejection_probability, h, n, two_sample, null, method, alpha, reps,
-                    cfg=sd_cfg, master_seed=plan.subplan(cell, ai),
-                    adaptive_draws=adaptive if method == "bayes" else None))
+                    cfg=sd_cfg, master_seed=plan.subplan(cell, ai)))
                 rows.append(dict(h0=null, n=n, h=h,
                                  comparison="two_sample" if two_sample else "one_sample",
                                  method=method, alpha=alpha, reps=reps))
             cell += 1
-    for row, summary in zip(rows, _run_cells(jobs, cfg.workers)):
+    for row, summary in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=summary.estimate, mc_se=summary.mc_se)
     return TableResult(key_columns=("h0", "n", "h", "comparison", "method",
                                     "alpha", "reps"),
@@ -509,7 +501,7 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
             jobs.append(partial(type1_error_sim, dgp, alpha, reps=reps, draws=draws,
                                 master_seed=plan.subplan(si, ai)))
             rows.append(dict(sigma_eps=s_eps, alpha=alpha, reps=reps, draws=draws))
-    for row, res in zip(rows, _run_cells(jobs, cfg.workers)):
+    for row, res in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=res.rejection.estimate, mc_se=res.rejection.mc_se,
                    monotonicity_rate=res.monotonicity_rate)
     return TableResult(key_columns=("sigma_eps", "alpha", "reps", "draws"),
@@ -547,7 +539,7 @@ def cmd_sd_test(cfg: RunConfig) -> TableResult:
         y = _load_sample(cfg.y_file)
         # the dd bootstrap and the posterior run side by side, the costlier
         # posterior listed last so that it starts first
-        p_dd, p_sd1 = _run_cells([
+        p_dd, p_sd1 = parallel_map([
             partial(dd_pvalue_nonsd1, x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(1)),
             lambda: posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate,
         ], cfg.workers)
@@ -583,7 +575,7 @@ def cmd_limit(cfg: RunConfig) -> TableResult:
     rows = [dict(region=cfg.region, theta=theta, alpha=alpha,
                  method="exact" if summary.exact else "mc",
                  value=summary.estimate, mc_se=summary.mc_se)
-            for alpha, summary in zip(alphas, _run_cells(jobs, cfg.workers))]
+            for alpha, summary in zip(alphas, parallel_map(jobs, cfg.workers))]
     return TableResult(key_columns=("region", "theta", "alpha", "method"),
                        float_columns=("value", "mc_se"), rows=tuple(rows))
 

@@ -105,48 +105,47 @@ class ReplicationError(RuntimeError):
         return type(self), (self.index, self.cause)
 
 
-# what a forked worker process runs: (fn, items), set in the worker by
-# _inherit and never pickled
+# the jobs a forked worker process runs, set in the worker by _inherit and
+# never pickled
 _INHERITED = None
 
 
-def _inherit(fn, items):
+def _inherit(jobs):
     global _INHERITED
-    _INHERITED = (fn, items)
+    _INHERITED = jobs
 
 
 def _call_inherited(i):
-    fn, items = _INHERITED
-    return fn(items[i])
+    return _INHERITED[i]()
 
 
-def parallel_map(fn, items, workers=1):
-    """``[fn(item) for item in items]``, run in forked worker processes.
+def parallel_map(jobs, workers=1):
+    """``[job() for job in jobs]``, run in forked worker processes.
 
-    Starts min(workers, len(items), usable cores) processes.  Each is a
-    fork of the caller, so ``fn`` and ``items`` reach it by inheritance
-    and need not pickle; only results and exceptions travel back.  Items
-    are handed out one at a time, last first, because callers list their
-    costliest items last, and each result is put back at its index.  When
-    that count is 1, or the platform cannot fork, the items run here in
-    order with no pool.
+    Starts min(workers, len(jobs), usable cores) processes.  Each is a
+    fork of the caller, so the zero-argument callables ``jobs`` reach it
+    by inheritance and need not pickle; only results and exceptions
+    travel back.  Jobs are handed out one at a time, last first, because
+    callers list their costliest jobs last, and each result is put back at
+    its index.  When that count is 1, or the platform cannot fork, the
+    jobs run here in order with no pool.
 
     A raising call re-raises in the caller; when several raise, the
     lowest index wins, as it would serially.  No worker process outlives
     the call.
     """
-    items = list(items)
+    jobs = list(jobs)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    procs = min(int(workers), len(items), cores)
+    procs = min(int(workers), len(jobs), cores)
     if procs <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+        return [job() for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(fn, items)) as pool:
-        futures = [pool.submit(_call_inherited, i) for i in reversed(range(len(items)))]
+                             initializer=_inherit, initargs=(jobs,)) as pool:
+        futures = [pool.submit(_call_inherited, i) for i in reversed(range(len(jobs)))]
         try:
             return [future.result() for future in reversed(futures)]
         finally:

@@ -114,7 +114,7 @@ class SdConfig:
     bootstrap: "rubin" (weighted step CDF) or "banks" (weights spread
         linearly between order statistics, endpoint atoms at the sample
         min and max, no tail extrapolation).
-    tol: dominance slack added to the opposing CDF (default 0).
+    tol: dominance slack added to the opposing CDF (default 0, finite).
     dd_boot: bootstrap replicates for the two-sample min-t p-value.
     """
 
@@ -128,17 +128,32 @@ class SdConfig:
             raise ValueError("draws must be >= 1")
         if self.bootstrap not in (RUBIN, BANKS):
             raise ValueError(f"unknown bootstrap variant {self.bootstrap!r}")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+        if self.dd_boot < 1:
+            raise ValueError("dd_boot must be >= 1")
 
 
 # ---------------------------------------------------------------------------
 # plain empirical CDFs and the fixed design
 
 
-def ecdf(sample) -> StepCdf:
-    """Empirical CDF: jumps of 1/n at the order statistics."""
-    s = np.sort(np.asarray(sample, dtype=float))
+def _sorted_sample(sample):
+    """The sample as a sorted 1-d float array.  An empty sample or a nan or
+    inf value is refused: either would give a silent number downstream."""
+    s = np.asarray(sample, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("sample must be 1-d")
     if s.size == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(s).all():
+        raise ValueError("sample holds non-finite values (nan or inf)")
+    return np.sort(s)
+
+
+def ecdf(sample) -> StepCdf:
+    """Empirical CDF: jumps of 1/n at the order statistics."""
+    s = _sorted_sample(sample)
     return StepCdf(points=s, weights=np.full(s.size, 1.0 / s.size))
 
 
@@ -281,10 +296,10 @@ def _zero_posterior(xs, fixed_bound, ys, tol):
     return tol == 0 and (xs[0] < ys[0] or xs[-1] < ys[-1])
 
 
-def _dominated_count(x, ref, ys, variant, draws, tol, rx, ry):
+def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     """Number of posterior draws with F_X <= bound + tol on the pooled
-    grid, against the reference CDF ``ref`` or the sorted opponent sample
-    ``ys`` (see _as_opponent).
+    grid, for the sorted sample ``xs`` against the reference CDF ``ref`` or
+    the sorted opponent sample ``ys`` (see _as_opponent).
 
     X's weight rows come off the generator ``rx`` and the opponent
     sample's off ``ry``, each row-major, in lockstep draw blocks of
@@ -304,7 +319,6 @@ def _dominated_count(x, ref, ys, variant, draws, tol, rx, ry):
     Samples that _zero_posterior screens out count 0 before any weight is
     drawn.
     """
-    xs = np.sort(np.asarray(x, dtype=float))
     if ys is None:
         grid = xs
         fixed_bound = np.asarray(ref.evaluate(grid), dtype=float) + tol
@@ -354,9 +368,7 @@ def bb_draw(sample, variant, rng):
     cells sit as atoms at the sample min and max, so there is no mass
     outside the observed range.
     """
-    xs = np.sort(np.asarray(sample, dtype=float))
-    if xs.size == 0:
-        raise ValueError("empty sample")
+    xs = _sorted_sample(sample)
     if variant == RUBIN:
         return StepCdf(points=xs, weights=dirichlet_flat_sample(xs.size, rng))
     if variant != BANKS:
@@ -384,7 +396,7 @@ def _as_opponent(opponent):
         return opponent, None
     if callable(opponent):
         return ReferenceCdf(fn=opponent), None
-    return None, np.sort(np.asarray(opponent, dtype=float))
+    return None, _sorted_sample(opponent)
 
 
 def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None) -> McSummary:
@@ -404,10 +416,8 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     if rng is None:
         rng = SeedPlan(0).stream(0)
     rx, ry = _substreams(rng, 2)
-    x = np.asarray(x_sample, dtype=float)
+    x = _sorted_sample(x_sample)
     ref, ys = _as_opponent(opponent)
-    if x.size == 0 or (ys is not None and ys.size == 0):
-        raise ValueError("empty sample")
     count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rx, ry)
     p = count / cfg.draws
     return McSummary(estimate=p, mc_se=mc_se(p, cfg.draws), reps=cfg.draws, master_seed=None)
@@ -429,7 +439,7 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
     reference values enter D+ as they are, without the clip into [0, 1]
     that iu_beta_pvalue_nonsd1 applies; nothing checks the range.
     """
-    x = np.sort(np.asarray(x_sample, dtype=float))
+    x = _sorted_sample(x_sample)
     n = x.size
     ref, y = _as_opponent(opponent)
     if y is None:
@@ -460,13 +470,22 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     f0's values are clipped into [0, 1] before the beta tails, unlike in
     ks_pvalue_sd1; nothing checks the range.
     """
-    x = np.sort(np.asarray(x_sample, dtype=float))
+    x = _sorted_sample(x_sample)
     n = x.size
     ref, _ = _as_opponent(f0)
     u = np.clip(np.asarray(ref.evaluate(x), dtype=float), 0.0, 1.0)
     k = np.arange(1, n + 1, dtype=float)
     comp = 1.0 - beta_cdf(u, k, n + 1.0 - k)
     return float(np.max(comp))
+
+
+def _min_t_terms(fx, fy, n, m):
+    """Dominance t-statistics (fy - fx) / se of empirical CDF values from
+    samples of sizes n and m; inf where either CDF is 0 or 1 or se is 0,
+    so those points never attain the minimum."""
+    keep = (fx > 0.0) & (fx < 1.0) & (fy > 0.0) & (fy < 1.0)
+    se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
+    return np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
 
 
 def _interior_min_t(x_sorted, y_sorted):
@@ -478,12 +497,10 @@ def _interior_min_t(x_sorted, y_sorted):
     grid.sort(kind="mergesort")
     fx = np.searchsorted(x_sorted, grid, side="right") / n
     fy = np.searchsorted(y_sorted, grid, side="right") / m
-    keep = (fx > 0.0) & (fx < 1.0) & (fy > 0.0) & (fy < 1.0)
-    if not keep.any():
-        return float("nan"), float("nan")
-    se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
-    t = np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
+    t = _min_t_terms(fx, fy, n, m)
     j = int(np.argmin(t))
+    if t[j] == np.inf:
+        return float("nan"), float("nan")
     return float(t[j]), float(grid[j])
 
 
@@ -491,9 +508,7 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
     """Asymptotic max-p / min-t p-value for the null that X does not
     dominate Y: p = max over grid points of 1 - Phi(t), equivalently
     1 - Phi(min t)."""
-    x = np.sort(np.asarray(x_sample, dtype=float))
-    y = np.sort(np.asarray(y_sample, dtype=float))
-    t_min, _ = _interior_min_t(x, y)
+    t_min, _ = _interior_min_t(_sorted_sample(x_sample), _sorted_sample(y_sample))
     if not np.isfinite(t_min):
         return 1.0
     return float(1.0 - std_normal_cdf(t_min))
@@ -581,10 +596,7 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None)
         county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
         fx = np.cumsum(countx, axis=1) / n
         fy = np.cumsum(county, axis=1) / m
-        keep = (fx > 0.0) & (fx < 1.0) & (fy > 0.0) & (fy < 1.0)
-        se = np.sqrt(fx * (1.0 - fx) / n + fy * (1.0 - fy) / m)
-        t = np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
-        t_min[r0:r0 + rows] = t.min(axis=1)
+        t_min[r0:r0 + rows] = _min_t_terms(fx, fy, n, m).min(axis=1)
         if stop is not None and np.count_nonzero(t_min[:r0 + rows] >= stop[0]) >= stop[1]:
             return t_min[:r0 + rows]
     return t_min
@@ -619,11 +631,9 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     if rng is None:
         rng = SeedPlan(0).stream(0)
     sub, = _substreams(rng, 1)
-    x = np.sort(np.asarray(x_sample, dtype=float))
-    y = np.sort(np.asarray(y_sample, dtype=float))
+    x = _sorted_sample(x_sample)
+    y = _sorted_sample(y_sample)
     n, m = x.size, y.size
-    if n == 0 or m == 0:
-        raise ValueError("empty sample")
     t_obs, z_hat = _interior_min_t(x, y)
     if not np.isfinite(t_obs) or t_obs <= 0.0:
         return 1.0
@@ -649,9 +659,12 @@ def _draw_shifted_uniform(n, h, rng):
     return rng.uniform(shift, 1.0 + shift, n)
 
 
-# bound on the chance that an adaptive Bayesian replication stops at a look
-# whose Clopper-Pearson interval misses the exact posterior probability;
-# split evenly over the looks (Bonferroni)
+# draws per posterior call of a simulated Bayesian replication; it may stop
+# after any batch but its last
+_BATCH_DRAWS = 300
+# bound on the chance that a Bayesian replication stops at a look whose
+# Clopper-Pearson interval misses the exact posterior probability; split
+# evenly over the looks (Bonferroni)
 _TOPUP_ERROR = 1e-3
 
 
@@ -674,8 +687,7 @@ def _topup_counts(draws, alpha, error):
 
 
 def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
-                             cfg: SdConfig = SdConfig(), master_seed=0,
-                             adaptive_draws=None) -> McSummary:
+                             cfg: SdConfig = SdConfig(), master_seed=0) -> McSummary:
     """Simulated rejection rate for dominance tests under a uniform shift.
 
     Per replication, X ~ Unif(h/sqrt(n), 1 + h/sqrt(n)) with n points; the
@@ -690,22 +702,22 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     passes alpha to dd_pvalue_nonsd1, whose bootstrap stops once p > alpha
     is certain; the decision is that of the full p-value.
 
-    adaptive_draws, when set to (initial, extra), spends the Bayesian
-    posterior's draws in batches of ``initial`` draws, each a fresh
-    posterior_prob_sd1 call on the replication's stream, up to
-    ``initial + extra`` draws in all (the last batch may be short).  After
-    every batch but the last, the null draws counted so far give a
-    two-sided Clopper-Pearson interval for the null probability; the
-    replication stops there, deciding on the pooled estimate, once that
-    interval excludes alpha (multi-stage sequential Monte Carlo tests,
-    Davidson and MacKinnon 2000 and Gandy 2009).  An interval that excludes
-    alpha lies on the same side of it as the pooled estimate.  Each look's
-    interval has level 1 - _TOPUP_ERROR / looks, so the chance that some
-    look's interval excludes the exact posterior probability, and with it
-    the chance that a replication which stops early decides differently
-    from the exact posterior, is at most _TOPUP_ERROR (1e-3) by
-    Bonferroni.  The covering counts form one range per look, computed
-    once per process, so each look is two integer comparisons.
+    The Bayesian test spends at most ``cfg.draws`` posterior draws per
+    replication, in batches of _BATCH_DRAWS (300), each a fresh
+    posterior_prob_sd1 call on the replication's stream; the last batch
+    may be short, and cfg.draws <= 300 makes one call.  After every batch
+    but the last, the null draws counted so far give a two-sided
+    Clopper-Pearson interval for the null probability; the replication
+    stops there, deciding on the pooled estimate, once that interval
+    excludes alpha (multi-stage sequential Monte Carlo tests, Davidson and
+    MacKinnon 2000 and Gandy 2009).  An interval that excludes alpha lies
+    on the same side of it as the pooled estimate.  Each look's interval
+    has level 1 - _TOPUP_ERROR / looks, so the chance that some look's
+    interval excludes the exact posterior probability, and with it the
+    chance that a replication which stops early decides differently from
+    the exact posterior, is at most _TOPUP_ERROR (1e-3) by Bonferroni.
+    The covering counts form one range per look, computed once per
+    process, so each look is two integer comparisons.
     """
     check_alpha(alpha)
     if null not in ("sd1", "non_sd1"):
@@ -719,17 +731,16 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
         raise ValueError(f"{method} is a two-sample test")
 
     if method == "bayes":
-        batch, extra = adaptive_draws or (cfg.draws, 0)
-        total = batch + extra
+        batch = min(_BATCH_DRAWS, cfg.draws)
         # cumulative draw counts after which a replication may stop
-        looks = range(batch, total, batch)
+        looks = range(batch, cfg.draws, batch)
         error = _TOPUP_ERROR / max(1, len(looks))
         covering = {d: _topup_counts(d, alpha, error) for d in looks}
 
     def bayes_null_posterior(x, opponent, rng):
         nulls = done = 0
-        while done < total:
-            take = min(batch, total - done)
+        while done < cfg.draws:
+            take = min(batch, cfg.draws - done)
             p = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=take), rng=rng).estimate
             dominated = round(p * take)
             nulls += dominated if null == "sd1" else take - dominated

@@ -40,7 +40,7 @@ from ineqtest.cli import (
     resolve_config,
 )
 from ineqtest.distributions import std_normal_quantile
-from ineqtest.mc_harness import run_replications
+from ineqtest.mc_harness import McSummary, run_replications
 from ineqtest.translog import RankDeficientError
 from ineqtest.limit_experiment import (
     _REPS_PER_BLOCK,
@@ -655,6 +655,22 @@ def test_stdout_ignores_block_constants(monkeypatch, capsys, tmp_path):
             assert main(argv) == EXIT_OK
             assert capsys.readouterr().out == want
         monkeypatch.undo()
+
+
+def test_table2_draws_cap_spent_in_batches(monkeypatch, capsys):
+    # a posterior of 0.5 at alpha 0.5 straddles alpha at every look, so each
+    # replication spends the whole cap of 900 draws in batches of 300
+    calls = []
+
+    def at_alpha(x_sample, opponent, cfg=sd.SdConfig(), rng=None):
+        calls.append(cfg.draws)
+        return McSummary(estimate=0.5, mc_se=0.0, reps=cfg.draws, master_seed=None)
+
+    monkeypatch.setattr(sd, "posterior_prob_sd1", at_alpha)
+    assert main(["--command", "table2", "--reps", "2", "--n", "20", "--h", "0",
+                 "--alpha", "0.5", "--draws", "900", "--dd-boot", "9"]) == EXIT_OK
+    # four bayes cells of two replications each
+    assert calls == [300] * (3 * 2 * 4)
 
 
 # ---------------------------------------------------------------------------

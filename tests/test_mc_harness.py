@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -253,16 +254,17 @@ class TestBlocks:
 class TestParallelMap:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_results_by_index(self, workers):
-        offset = 10   # fn is a closure: the workers inherit it, nothing pickles it
-        out = parallel_map(lambda item: item * item + offset, range(9), workers)
+        offset = 10   # the jobs are closures: the workers inherit them, nothing pickles them
+        out = parallel_map([partial(lambda item: item * item + offset, i) for i in range(9)],
+                           workers)
         assert out == [i * i + offset for i in range(9)]
         assert multiprocessing.active_children() == []
 
     def test_forks_only_for_more_than_one_process(self):
         parent = os.getpid()
-        assert set(parallel_map(lambda _: os.getpid(), range(4), 1)) == {parent}
-        assert set(parallel_map(lambda _: os.getpid(), [0], 4)) == {parent}
-        pids = set(parallel_map(lambda _: os.getpid(), range(4), 2))
+        assert set(parallel_map([os.getpid] * 4, 1)) == {parent}
+        assert set(parallel_map([os.getpid], 4)) == {parent}
+        pids = set(parallel_map([os.getpid] * 4, 2))
         assert (parent in pids) == (len(os.sched_getaffinity(0)) < 2)
         assert 1 <= len(pids) <= 2
 
@@ -274,7 +276,7 @@ class TestParallelMap:
             return item
 
         with pytest.raises(ReplicationError) as err:
-            parallel_map(fn, range(10), workers)
+            parallel_map([partial(fn, i) for i in range(10)], workers)
         assert err.value.index == 3
         assert isinstance(err.value.cause, RankDeficientError)
         assert str(err.value.cause) == "item 3"
@@ -292,9 +294,10 @@ class TestParallelMap:
         # stdout to a pipe is block-buffered: unless the buffer is flushed
         # before the fork, each child flushes its copy again when it exits
         script = ("import sys\n"
+                  "from functools import partial\n"
                   "from ineqtest.mc_harness import parallel_map\n"
                   "print('before')\n"
-                  "print(parallel_map(lambda i: i + 1, range(4), 2))\n")
+                  "print(parallel_map([partial(lambda i: i + 1, i) for i in range(4)], 2))\n")
         src = str(Path(ineqtest.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

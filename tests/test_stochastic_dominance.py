@@ -122,6 +122,15 @@ class TestSdConfig:
         with pytest.raises(ValueError):
             SdConfig(bootstrap="jackknife")
 
+    def test_dd_boot_below_one_rejected(self):
+        with pytest.raises(ValueError, match="dd_boot"):
+            SdConfig(dd_boot=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SdConfig(tol=tol)
+
 
 # ---------------------------------------------------------------------------
 # empirical CDFs and the fixed design
@@ -136,6 +145,35 @@ class TestEcdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ecdf([])
+
+
+_GOOD = [0.1, 0.4, 0.6, 0.9]
+
+
+@pytest.mark.parametrize("call", [
+    ecdf,
+    lambda s: bb_draw(s, BANKS, np.random.default_rng(0)),
+    lambda s: bb_draw(s, RUBIN, np.random.default_rng(0)),
+    lambda s: posterior_prob_sd1(s, UNIFORM01, cfg=SdConfig(draws=10)),
+    lambda s: posterior_prob_sd1(_GOOD, s, cfg=SdConfig(draws=10)),
+    lambda s: ks_pvalue_sd1(s, UNIFORM01),
+    lambda s: ks_pvalue_sd1(_GOOD, s),
+    iu_beta_pvalue_nonsd1,
+    lambda s: iu_maxt_pvalue_nonsd1(s, _GOOD),
+    lambda s: iu_maxt_pvalue_nonsd1(_GOOD, s),
+    lambda s: dd_pvalue_nonsd1(s, _GOOD, n_boot=9),
+    lambda s: dd_pvalue_nonsd1(_GOOD, s, n_boot=9),
+], ids=["ecdf", "bb_draw_banks", "bb_draw_rubin", "posterior_x", "posterior_y", "ks_x",
+        "ks_y", "iu_beta", "iu_maxt_x", "iu_maxt_y", "dd_x", "dd_y"])
+def test_bad_samples_refused(call):
+    # every sample a dominance function reads passes one validator
+    with pytest.raises(ValueError, match="empty sample"):
+        call([])
+    for bad in ([0.2, math.nan, 0.7], [0.2, math.inf], [-math.inf, 0.5, 0.6]):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(bad)
+    with pytest.raises(ValueError, match="1-d"):
+        call([_GOOD, _GOOD])
 
 
 class TestFixedDesign:
@@ -407,7 +445,7 @@ class TestZeroPosteriorScreen:
         for seed in range(50):
             for _, x, opponent, variant, tol in _screened_cases(seed):
                 ref, ys = sd._as_opponent(opponent)
-                count = sd._dominated_count(x, ref, ys, variant, 200, tol,
+                count = sd._dominated_count(np.sort(x), ref, ys, variant, 200, tol,
                                             *sd._substreams(np.random.default_rng(seed), 2))
                 assert count == 0
 
@@ -446,7 +484,7 @@ class TestZeroPosteriorScreen:
         # nothing reads a replication's stream after its posterior, so
         # skipping the weights of a screened replication moves no decision
         kwargs = dict(h=0.0, n=60, two_sample=two_sample, null="sd1", method="bayes",
-                      alpha=0.1, reps=16, master_seed=4, adaptive_draws=(300, 1500))
+                      alpha=0.1, reps=16, master_seed=4, cfg=SdConfig(draws=1800))
         fired = []
         screen = sd._zero_posterior
 
@@ -716,7 +754,8 @@ class TestPinnedOutputs:
                 continue
             ref, ys = sd._as_opponent(y if two else UNIFORM01)
             shared = np.random.default_rng(7)
-            assert sd._dominated_count(x, ref, ys, variant, draws, tol, shared, shared) == want
+            assert sd._dominated_count(np.sort(x), ref, ys, variant, draws, tol,
+                                       shared, shared) == want
 
 
 # ---------------------------------------------------------------------------
@@ -874,14 +913,13 @@ class TestSdRejectionProbability:
         assert a.estimate == b.estimate
         assert 0.0 <= a.estimate <= 1.0
 
-    def test_bayes_with_adaptive_draws(self):
-        cfg = SdConfig(draws=40)
+    def test_bayes_with_batched_draws(self):
+        # 700 draws: batches of 300, 300 and 100
+        cfg = SdConfig(draws=700)
         out = sd_rejection_probability(0.9, 25, False, "non_sd1", "bayes", 0.1,
-                                       reps=40, cfg=cfg, master_seed=2,
-                                       adaptive_draws=(40, 120))
+                                       reps=40, cfg=cfg, master_seed=2)
         again = sd_rejection_probability(0.9, 25, False, "non_sd1", "bayes", 0.1,
-                                         reps=40, cfg=cfg, master_seed=2,
-                                         adaptive_draws=(40, 120))
+                                         reps=40, cfg=cfg, master_seed=2)
         assert out.estimate == again.estimate
         assert 0.0 <= out.estimate <= 1.0
 
@@ -895,10 +933,10 @@ class TestSdRejectionProbability:
 
 
 # ---------------------------------------------------------------------------
-# adaptive top-up stop rule
+# sequential stop rule of the Bayesian cells
 
 
-# the per-look error of the (300, 1500) rule: five looks that may stop
+# the per-look error at 1800 draws: five looks that may stop
 LOOK_ERROR = 1e-3 / 5
 
 
@@ -926,11 +964,11 @@ class TestTopupRule:
         assert sd._topup_counts(40, 0.9, LOOK_ERROR)[1] == 40
 
     @staticmethod
-    def _count_posteriors(monkeypatch, null, null_counts, reps=6, rule=(300, 1500)):
-        """Draw counts of the posterior calls made by one adaptive bayes
-        cell, and its rejection rate, when the posterior batches of every
-        replication see ``null_counts`` null draws in turn, the last one
-        repeated."""
+    def _count_posteriors(monkeypatch, null, null_counts, reps=6, draws=1800):
+        """Draw counts of the posterior calls made by one bayes cell capped
+        at ``draws``, and its rejection rate, when the posterior batches of
+        every replication see ``null_counts`` null draws in turn, the last
+        one repeated."""
         calls, streams = [], []
 
         def fake(x_sample, opponent, cfg=SdConfig(), rng=None):
@@ -946,7 +984,7 @@ class TestTopupRule:
 
         monkeypatch.setattr(sd, "posterior_prob_sd1", fake)
         out = sd_rejection_probability(0.0, 20, False, null, "bayes", 0.1, reps=reps,
-                                       master_seed=3, adaptive_draws=rule)
+                                       cfg=SdConfig(draws=draws), master_seed=3)
         return calls, out.estimate
 
     @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
@@ -977,15 +1015,17 @@ class TestTopupRule:
         assert self._count_posteriors(monkeypatch, null, script) == ([300] * batches * 6, rate)
 
     def test_last_batch_is_short(self, monkeypatch):
-        # (300, 1000) looks after 300, 600, 900 and 1200 draws, then ends
-        # with 100 more
-        calls, _ = self._count_posteriors(monkeypatch, "sd1", [30], reps=2, rule=(300, 1000))
+        # 1300 draws look after 300, 600, 900 and 1200 draws, then end with
+        # 100 more
+        calls, _ = self._count_posteriors(monkeypatch, "sd1", [30], reps=2, draws=1300)
         assert calls == [300, 300, 300, 300, 100] * 2
 
-    def test_margin_tuple_rejected(self):
-        with pytest.raises(ValueError):
-            sd_rejection_probability(0.0, 20, False, "sd1", "bayes", 0.1, reps=2,
-                                     adaptive_draws=(300, 1500, 0.1))
+    @pytest.mark.parametrize("draws", [1, 150, 300])
+    def test_one_batch_makes_one_call(self, monkeypatch, draws):
+        # at most one batch of draws leaves no look: one call per replication
+        calls, _ = self._count_posteriors(monkeypatch, "sd1", [draws // 10], reps=3,
+                                          draws=draws)
+        assert calls == [draws] * 3
 
 
 # ---------------------------------------------------------------------------
