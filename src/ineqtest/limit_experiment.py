@@ -10,11 +10,12 @@ is the behavior this module exists to measure.
 
 Null regions with closed-form posterior probabilities are evaluated
 exactly and vectorized over a block of observations: half-spaces, scalar
-interval unions, boxes under independent coordinates, sign agreement
-under any nonsingular 2 x 2 covariance (through the bivariate normal CDF
-and Owen's T), and their complements.  Monte Carlo over posterior draws
-remains only for predicates, correlated boxes and sign agreement under a
-singular covariance or perfect correlation.
+interval unions, boxes under independent coordinates, 2-D boxes and sign
+agreement under any nonsingular 2 x 2 covariance (through the bivariate
+normal CDF and Owen's T), and their complements.  Monte Carlo over
+posterior draws remains only for predicates, correlated boxes with d > 2,
+and boxes and sign agreement under a singular covariance or perfect
+correlation.
 
 Rejection probabilities are simulated in blocks of _REPS_PER_BLOCK
 replications: each block draws its observations with one call on its own
@@ -273,10 +274,35 @@ def _signagree_posterior(x, exp: Experiment):
     return np.clip(post, 0.0, 1.0)
 
 
+def _box_posterior(region: Box, x, exp: Experiment):
+    """Posterior mass of a box: a product of normal interval masses under
+    independent coordinates, and for d = 2 under correlation the rectangle
+    mass by inclusion-exclusion of four bivariate normal CDFs at the
+    standardized edges; None for a singular covariance or a correlated box
+    with d > 2."""
+    sds = exp.cov.diag_sd()
+    if np.any(sds <= 0.0):
+        return None
+    hi = (region.upper - x) / sds
+    lo = (region.lower - x) / sds
+    off_diag = exp.cov.entries - np.diag(np.diag(exp.cov.entries))
+    if not np.any(off_diag != 0.0):
+        return _fold_columns(np.multiply, std_normal_cdf(hi) - std_normal_cdf(lo))
+    rho = float(exp.cov.entries[0, 1] / (sds[0] * sds[1]))
+    if region.dim != 2 or not abs(rho) < 1.0:
+        return None
+    mass = (bivariate_normal_cdf(hi[:, 0], hi[:, 1], rho)
+            - bivariate_normal_cdf(lo[:, 0], hi[:, 1], rho)
+            - bivariate_normal_cdf(hi[:, 0], lo[:, 1], rho)
+            + bivariate_normal_cdf(lo[:, 0], lo[:, 1], rho))
+    return np.clip(mass, 0.0, 1.0)
+
+
 def _closed_form_posterior(region, x, exp: Experiment):
     """Exact posterior probabilities of the region at each row of the (m, d)
-    array x, or None when no closed form applies (correlated boxes,
-    predicates, sign agreement with a singular covariance)."""
+    array x, or None when no closed form applies (correlated boxes with
+    d > 2, predicates, boxes and sign agreement with a singular
+    covariance)."""
     if isinstance(region, HalfSpace):
         return _halfspace_posterior(region, x, exp)
     if isinstance(region, IntervalUnion):
@@ -289,15 +315,7 @@ def _closed_form_posterior(region, x, exp: Experiment):
                              - std_normal_cdf((a - x[:, 0]) / sd))
         return np.clip(total, 0.0, 1.0)
     if isinstance(region, Box):
-        off_diag = exp.cov.entries - np.diag(np.diag(exp.cov.entries))
-        if np.any(off_diag != 0.0):
-            return None
-        sds = exp.cov.diag_sd()
-        if np.any(sds <= 0.0):
-            return None
-        mass = (std_normal_cdf((region.upper - x) / sds)
-                - std_normal_cdf((region.lower - x) / sds))
-        return _fold_columns(np.multiply, mass)
+        return _box_posterior(region, x, exp)
     if isinstance(region, SignAgreement):
         return _signagree_posterior(x, exp)
     if isinstance(region, Complement):

@@ -247,16 +247,6 @@ def _weight_rows(n, variant, rng, draws):
     return dirichlet_flat_sample(n if variant == RUBIN else n + 1, rng, size=draws)
 
 
-def _posterior_rows(sample, variant, rng, draws, grid):
-    """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    grid = np.asarray(grid, dtype=float)
-    w = _weight_rows(xs.size, variant, rng, draws)
-    rows, _, _ = _cdf_columns(_row_table(xs, variant, grid), w, slice(None),
-                              np.zeros(draws), 0, 0, grid.size)
-    return rows
-
-
 # a draw block has _BLOCK_ELEMS // (pooled grid points) draws, so its weight
 # rows hold about _BLOCK_ELEMS floats per sample; keeps large-draw
 # posteriors at tens of MB; output does not depend on it

@@ -732,17 +732,51 @@ def test_no_worker_outlives_main(capsys, argv):
     assert multiprocessing.active_children() == []
 
 
-def test_cli_import_loads_no_process_machinery():
-    # the pool is imported only when a call runs more than one process
+def _lazy_modules_loaded(call, module="ineqtest.cli"):
+    """Run ``call`` in a fresh interpreter that has imported ``module``;
+    returns its exit code or value and which of the lazily imported
+    modules it loaded."""
     script = ("import sys\n"
-              "import ineqtest.cli\n"
-              "ineqtest.cli.main(['--command', 'table3', '--reps', '1', '--n', '40',\n"
-              "                   '--draws', '20', '--sigma-eps', '0.1', '--workers', '1'])\n"
-              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
-              "             if m in sys.modules))\n")
+              f"import {module}\n"
+              "try:\n"
+              f"    code = {call}\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+              "                               'scipy') if m in sys.modules))\n")
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == b"[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the pool is imported only when a call runs more than one process, and
+    # scipy only when a call needs a special function, which table3 never does
+    call = ("ineqtest.cli.main(['--command', 'table3', '--reps', '1', '--n', '40', '--draws', "
+            "'20', '--sigma-eps', '0.1', '--workers', '1'])")
+    assert _lazy_modules_loaded(call) == b"0 []"
+
+
+@pytest.mark.parametrize("module,call,code", [
+    ("ineqtest.cli", "ineqtest.cli.main(['--help'])", EXIT_OK),
+    ("ineqtest.cli", "ineqtest.cli.main(['--command', 'sd-test'])", EXIT_CONFIG),
+    ("ineqtest", "None", None),
+], ids=["help", "config-error", "bare-import"])
+def test_cold_paths_load_no_scipy(module, call, code):
+    # --help, a config error and a bare import never touch a special function
+    assert _lazy_modules_loaded(call, module) == f"{code} []".encode()
+
+
+def test_pool_starts_with_scipy_loaded():
+    # the workers inherit one copy of scipy.special instead of each
+    # loading their own
+    loaded = _lazy_modules_loaded("ineqtest.mc_harness.parallel_map([int, int], 2)", "ineqtest")
+    assert loaded in (b"[0, 0] []",
+                      b"[0, 0] ['concurrent.futures.process', 'multiprocessing', 'scipy']")
+
+
+def test_first_special_function_call_loads_scipy():
+    assert _lazy_modules_loaded("ineqtest.std_normal_cdf(0.0)", "ineqtest") == b"0.5 ['scipy']"
 
 
 def test_failing_cell_reports_alike_across_workers(monkeypatch, capsys):

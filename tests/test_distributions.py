@@ -37,6 +37,11 @@ class TestNormal:
         with pytest.raises(ValueError):
             std_normal_quantile(p)
 
+    @pytest.mark.parametrize("p", [np.nan, [0.5, np.nan]])
+    def test_quantile_rejects_nan(self, p):
+        with pytest.raises(ValueError):
+            std_normal_quantile(p)
+
     # Range kept to [-5, 5]: beyond that cdf(x) is within ~1e-7 of 1 and one
     # ulp of p maps to more than 1e-9 in x, so the round trip cannot hold.
     @given(st.floats(min_value=-5, max_value=5))
@@ -84,6 +89,18 @@ class TestBeta:
             beta_quantile(1.5, 2.0, 2.0)
         with pytest.raises(ValueError):
             beta_quantile(0.5, 0.0, 2.0)
+
+    @pytest.mark.parametrize("args", [(np.nan, 2.0, 3.0), ([0.5, np.nan], 2.0, 3.0),
+                                      (0.5, np.nan, 3.0), (0.5, 2.0, np.nan)])
+    def test_cdf_rejects_nan(self, args):
+        with pytest.raises(ValueError):
+            beta_cdf(*args)
+
+    @pytest.mark.parametrize("args", [(np.nan, 2.0, 3.0), (0.5, np.nan, 3.0),
+                                      (0.5, 2.0, [1.0, np.nan])])
+    def test_quantile_rejects_nan(self, args):
+        with pytest.raises(ValueError):
+            beta_quantile(*args)
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.01, max_value=0.99))
@@ -151,6 +168,24 @@ class TestBivariateNormalCdf:
                                                                                   abs=1e-9)
                     assert float(bivariate_normal_cdf(k, h, rho)) == pytest.approx(at_zero,
                                                                                   abs=1e-9)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.9])
+    @pytest.mark.parametrize("h,k", [(np.inf, 0.3), (-1.2, np.inf), (np.inf, np.inf),
+                                     (-np.inf, 0.3), (0.8, -np.inf), (-np.inf, np.inf),
+                                     (np.inf, -np.inf), (-np.inf, -np.inf)])
+    def test_infinite_edges_match_quadrature_oracle(self, h, k, rho):
+        got = float(bivariate_normal_cdf(h, k, rho))
+        assert got == pytest.approx(oracle_bivariate_normal_cdf_quad(h, k, rho), abs=1e-12)
+
+    def test_infinite_edges_leave_finite_entries_alone(self):
+        # a block mixing infinite and finite edges reads each finite pair
+        # exactly as a call on that pair alone
+        h = np.array([np.inf, 0.0, -0.4, -np.inf, 1.1])
+        k = np.array([0.3, -0.7, 0.0, 0.2, 0.9])
+        block = bivariate_normal_cdf(h, k, -0.5)
+        assert block.tolist() == [float(bivariate_normal_cdf(a, b, -0.5))
+                                  for a, b in zip(h, k)]
+        assert block[0] == std_normal_cdf(0.3) and block[3] == 0.0
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
     def test_rejects_unit_correlation(self, rho):

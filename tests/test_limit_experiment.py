@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_bivariate_normal_cdf_quad,
     oracle_interval_rp,
     oracle_normal_cdf,
     oracle_signagree_posterior_quad,
@@ -243,24 +244,25 @@ class TestRegionPosterior:
         assert got.estimate == pytest.approx(expected, abs=1e-14)
 
     def test_correlated_box_needs_mc_and_matches(self, rng):
-        cov = CovarianceMatrix.from_correlation(0.5)
+        # a correlated box has a closed form only in d = 2
+        cov = CovarianceMatrix.from_correlation(0.5, d=3)
         exp = Experiment(cov=cov)
-        box = Box(lower=np.array([0.0, 0.0]), upper=np.full(2, np.inf))
+        box = Box(lower=np.zeros(3), upper=np.full(3, np.inf))
         from scipy.stats import multivariate_normal
 
-        x = np.array([0.3, -0.2])
+        x = np.array([0.3, -0.2, 0.1])
         # Upper-orthant mass of N(x, cov) equals the lower-orthant mass of
         # N(-x, cov) by central symmetry of the density.
-        oracle = float(multivariate_normal(mean=-x, cov=cov.entries).cdf([0.0, 0.0]))
+        oracle = float(multivariate_normal(mean=-x, cov=cov.entries).cdf(np.zeros(3)))
         got = posterior_prob_region(box, x, exp, draws=40_000, rng=rng)
         assert got.mc_se > 0.0
         assert abs(got.estimate - oracle) < 3 * got.mc_se
 
     def test_mc_branch_requires_rng(self):
-        box = Box.orthant(2)
-        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.3))
+        box = Box.orthant(3)
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.3, d=3))
         with pytest.raises(ValueError):
-            posterior_prob_region(box, np.zeros(2), exp)
+            posterior_prob_region(box, np.zeros(3), exp)
 
     def test_complement_of_closed_form_is_exact(self):
         iu = IntervalUnion(intervals=((-1.0, 0.0),))
@@ -298,9 +300,9 @@ class TestRegionPosterior:
     def test_complement_mc_duality_with_correlated_box(self):
         # the Monte Carlo branch: a complement is counted on its inner
         # region's draws, so the two estimates sum to exactly one
-        box = Box(lower=np.zeros(2), upper=np.full(2, np.inf))
-        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.4))
-        x = np.array([0.2, 0.1])
+        box = Box(lower=np.zeros(3), upper=np.full(3, np.inf))
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.4, d=3))
+        x = np.array([0.2, 0.1, -0.3])
         a = posterior_prob_region(box, x, exp, draws=5000, rng=np.random.default_rng(5))
         b = posterior_prob_region(Complement(inner=box), x, exp, draws=5000,
                                   rng=np.random.default_rng(5))
@@ -312,6 +314,66 @@ class TestRegionPosterior:
 def _cov2(sd1, sd2, rho):
     return CovarianceMatrix(np.array([[sd1 * sd1, rho * sd1 * sd2],
                                       [rho * sd1 * sd2, sd2 * sd2]]))
+
+
+def _box_oracle(lower, upper, x, cov):
+    """Rectangle mass of N(x, cov) in 2-D by inclusion-exclusion of
+    quadrature bivariate normal CDFs at the standardized edges."""
+    sd = np.sqrt(np.diag(cov.entries))
+    rho = cov.entries[0, 1] / (sd[0] * sd[1])
+    lo = (np.asarray(lower) - x) / sd
+    hi = (np.asarray(upper) - x) / sd
+    return (oracle_bivariate_normal_cdf_quad(hi[0], hi[1], rho)
+            - oracle_bivariate_normal_cdf_quad(lo[0], hi[1], rho)
+            - oracle_bivariate_normal_cdf_quad(hi[0], lo[1], rho)
+            + oracle_bivariate_normal_cdf_quad(lo[0], lo[1], rho))
+
+
+class TestCorrelatedBoxPosterior:
+    """The exact 2-D box posterior under correlation against quadrature."""
+
+    BOXES = [
+        ((0.0, 0.0), (np.inf, np.inf)),
+        ((-1.0, 0.2), (0.5, 1.5)),
+        ((-np.inf, -0.5), (0.3, np.inf)),
+        ((-np.inf, -np.inf), (0.4, -0.1)),
+    ]
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.9])
+    @pytest.mark.parametrize("box", range(len(BOXES)))
+    @pytest.mark.parametrize("x", [(0.3, -0.2), (-1.1, 0.8), (0.0, 0.0)])
+    def test_matches_quadrature_oracle(self, rho, box, x):
+        lower, upper = self.BOXES[box]
+        cov = _cov2(1.5, 0.6, rho)
+        got = posterior_prob_region(Box(lower=lower, upper=upper), x, Experiment(cov=cov))
+        assert got.exact and got.mc_se == 0.0 and got.reps == 0
+        assert got.estimate == pytest.approx(_box_oracle(lower, upper, np.array(x), cov),
+                                             abs=1e-12)
+
+    def test_agrees_with_posterior_draws(self, rng):
+        box = Box(lower=np.array([-0.5, 0.0]), upper=np.array([1.0, np.inf]))
+        exp = Experiment(cov=_cov2(1.0, 2.0, 0.6))
+        x = np.array([0.2, 0.4])
+        exact = posterior_prob_region(box, x, exp).estimate
+        mc = posterior_prob_region(Predicate(fn=box.contains, dim=2, vectorized=True), x,
+                                   exp, draws=40_000, rng=rng)
+        assert abs(mc.estimate - exact) < 3 * mc.mc_se
+
+    def test_complement_is_exact(self):
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.5))
+        x = np.array([0.2, 0.1])
+        inner = posterior_prob_region(Box.orthant(2), x, exp)
+        outer = posterior_prob_region(Complement(inner=Box.orthant(2)), x, exp)
+        assert inner.exact and outer.exact
+        assert outer.estimate == 1.0 - inner.estimate
+
+    def test_perfect_correlation_stays_monte_carlo(self):
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(-1.0))
+        with pytest.raises(ValueError, match="rng"):
+            posterior_prob_region(Box.orthant(2), np.zeros(2), exp)
+        got = posterior_prob_region(Box.orthant(2), np.zeros(2), exp, draws=1000,
+                                    rng=np.random.default_rng(2))
+        assert not got.exact and got.reps == 1000
 
 
 class TestSignAgreementPosterior:
@@ -368,6 +430,8 @@ class TestVectorizedPosterior:
         (Complement(inner=Box.orthant(2)), Experiment.identity(2)),
         (SignAgreement(), Experiment(cov=_cov2(1.5, 0.6, -0.99))),
         (Complement(inner=SignAgreement()), Experiment(cov=_cov2(1.0, 3.0, 0.4))),
+        (Box(lower=np.array([-1.0, 0.0]), upper=np.array([0.5, np.inf])),
+         Experiment(cov=_cov2(1.2, 0.7, -0.6))),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))

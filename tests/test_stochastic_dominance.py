@@ -199,6 +199,17 @@ class TestFixedDesign:
 # bootstrap draws
 
 
+def _posterior_rows(sample, variant, rng, draws, grid):
+    """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``: the
+    row evaluator run over the whole grid at once."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    grid = np.asarray(grid, dtype=float)
+    w = sd._weight_rows(xs.size, variant, rng, draws)
+    rows, _, _ = sd._cdf_columns(sd._row_table(xs, variant, grid), w, slice(None),
+                                 np.zeros(draws), 0, 0, grid.size)
+    return rows
+
+
 class TestBbDraw:
     def test_rubin_is_weighted_step(self):
         rng = np.random.default_rng(3)
@@ -242,7 +253,7 @@ class TestBbDraw:
         # the CDF objects must not
         sample = np.linspace(0.05, 0.95, 20)
         grid = np.append(sample, [0.95, 2.0])
-        rows = sd._posterior_rows(sample, variant, np.random.default_rng(3), 500, grid)
+        rows = _posterior_rows(sample, variant, np.random.default_rng(3), 500, grid)
         assert np.all(rows[:, -3:] == 1.0)
         for seed in range(200):
             draw = bb_draw(sample, variant, np.random.default_rng(seed))
@@ -255,7 +266,7 @@ class TestBbDraw:
         sample = [0.3, 0.9, 0.1, 0.6]
         grid = np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9, 1.5])
         one = bb_draw(sample, variant, np.random.default_rng(11)).evaluate(grid)
-        rows = sd._posterior_rows(sample, variant, np.random.default_rng(11), 1, grid)
+        rows = _posterior_rows(sample, variant, np.random.default_rng(11), 1, grid)
         np.testing.assert_allclose(one, rows[0], atol=1e-14)
 
 
