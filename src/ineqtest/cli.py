@@ -590,6 +590,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg.workers > 1 and cfg.command != "table3":
+        # loaded before the pool forks, so the workers share one copy
+        # instead of each loading its own; table3 needs no special function
+        import scipy.special  # noqa: F401
     try:
         result = _DISPATCH[cfg.command](cfg)
         emit_table(result, cfg)

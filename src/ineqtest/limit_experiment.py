@@ -239,6 +239,15 @@ def _rows(x):
     return x.reshape(1, -1) if x.ndim < 2 else x
 
 
+def _check_dims(region, point, exp: Experiment):
+    """Refuses a region, a point and an experiment of different
+    dimensions, which broadcasting would otherwise fold together."""
+    d = _rows(point).shape[1]
+    if not region.dim == exp.dim == d:
+        raise ValueError(f"dimensions differ: region {region.dim}, "
+                         f"experiment {exp.dim}, point {d}")
+
+
 def _fold_columns(ufunc, a):
     """ufunc applied across the columns of a, left to right.  Every row gets
     the same floats whatever the number of rows, which neither a BLAS
@@ -255,6 +264,7 @@ def _halfspace_posterior(region: HalfSpace, x, exp: Experiment):
 
 def posterior_prob_halfspace(region: HalfSpace, x, exp: Experiment) -> float:
     """Closed-form posterior probability of a half-space: F((c0 - c.x)/sd)."""
+    _check_dims(region, x, exp)
     return float(_halfspace_posterior(region, _rows(x), exp)[0])
 
 
@@ -334,6 +344,7 @@ def posterior_prob_region(region, x, exp: Experiment, draws=2000, rng=None) -> M
     is evaluated through its inner region on the same draws, so the two
     estimates sum to 1 exactly.
     """
+    _check_dims(region, x, exp)
     exact = _closed_form_posterior(region, _rows(x), exp)
     if exact is not None:
         return McSummary(estimate=float(exact[0]), mc_se=0.0, reps=0, master_seed=None,
@@ -427,6 +438,7 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
+    _check_dims(region, theta, exp)
     plan = SeedPlan.coerce(master_seed)
     if method == "auto" and isinstance(region, HalfSpace):
         rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
@@ -465,6 +477,8 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
     grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in boundary_grid]
     if not grid:
         raise ValueError("empty boundary grid")
+    for t in grid:
+        _check_dims(region, t, exp)
     closure = tuple(j for j, t in enumerate(grid) if not region_membership(region, t))
     plan = SeedPlan.coerce(master_seed)
     summaries = [_simulated_rejection(region, t, exp, alpha, reps, draws, plan.subplan(j))

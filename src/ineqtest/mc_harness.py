@@ -133,12 +133,6 @@ def parallel_map(jobs, workers=1):
     A raising call re-raises in the caller; when several raise, the
     lowest index wins, as it would serially.  No worker process outlives
     the call.
-
-    ``distributions`` imports scipy.special at its first special-function
-    call, so a cold caller may not hold it yet.  The pool loads it here,
-    before forking: each worker that loaded it for itself would spend
-    about 0.3 s of CPU on its own copy, which made cold two-worker table1,
-    table2 and limit runs about 0.1 s slower on 2 cores.
     """
     jobs = list(jobs)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -148,8 +142,6 @@ def parallel_map(jobs, workers=1):
         return [job() for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-
-    import scipy.special  # noqa: F401
 
     with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit, initargs=(jobs,)) as pool:

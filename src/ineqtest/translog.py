@@ -382,10 +382,13 @@ def _posterior_free_rows(data: TranslogData, draws, rng):
     has fewer than ten positive weights (then X'WX has rank below ten even
     where rounding hides it).  Each singular draw is redrawn, at most
     _MAX_REDRAWS times, then reported as an error; the other rows keep
-    their values.
+    their values.  Fewer than ten observations make every draw singular,
+    so they raise RankDeficientError before any weight is drawn.
     """
+    n, k = data.design.shape
+    if n < k:
+        raise RankDeficientError(f"{n} observations cannot identify {k} coefficients")
     table = _product_table(data)
-    n = table.shape[0]
 
     def solve_rows(wmat):
         xtwx, xtwy = _normal_equations(table, wmat)
@@ -399,7 +402,7 @@ def _posterior_free_rows(data: TranslogData, draws, rng):
                 except np.linalg.LinAlgError:
                     pass
         if wmat.min() <= 0.0:
-            rows[np.count_nonzero(wmat, axis=1) < 10] = np.nan
+            rows[np.count_nonzero(wmat, axis=1) < k] = np.nan
         return rows
 
     rows = solve_rows(dirichlet_flat_sample(n, rng, size=draws))

@@ -767,16 +767,44 @@ def test_cold_paths_load_no_scipy(module, call, code):
     assert _lazy_modules_loaded(call, module) == f"{code} []".encode()
 
 
-def test_pool_starts_with_scipy_loaded():
+def test_package_import_loads_nothing():
+    loaded = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ineqtest.'))"
+    assert _lazy_modules_loaded(loaded, "ineqtest") == b"[] []"
+
+
+def test_translog_import_loads_only_its_dependencies():
+    loaded = ("sorted(m for m in ('ineqtest.stochastic_dominance', 'ineqtest.limit_experiment')"
+              " if m in sys.modules)")
+    assert _lazy_modules_loaded(loaded, "ineqtest.translog") == b"[] []"
+
+
+def test_two_worker_table3_loads_no_scipy():
+    # the CLI loads scipy before forking for every command but table3
+    call = ("ineqtest.cli.main(['--command', 'table3', '--reps', '1', '--n', '40', '--draws', "
+            "'20', '--sigma-eps', '0.1,0.2', '--workers', '2'])")
+    assert _lazy_modules_loaded(call) in (
+        b"0 []", b"0 ['concurrent.futures.process', 'multiprocessing']")
+
+
+def test_two_worker_table2_forks_with_scipy_loaded():
     # the workers inherit one copy of scipy.special instead of each
     # loading their own
-    loaded = _lazy_modules_loaded("ineqtest.mc_harness.parallel_map([int, int], 2)", "ineqtest")
+    call = ("ineqtest.cli.main(['--command', 'table2', '--reps', '1', '--n', '100', "
+            "'--h', '0.9', '--workers', '2'])")
+    assert _lazy_modules_loaded(call) in (
+        b"0 ['scipy']", b"0 ['concurrent.futures.process', 'multiprocessing', 'scipy']")
+
+
+def test_pool_loads_no_scipy():
+    loaded = _lazy_modules_loaded("ineqtest.mc_harness.parallel_map([int, int], 2)",
+                                  "ineqtest.mc_harness")
     assert loaded in (b"[0, 0] []",
-                      b"[0, 0] ['concurrent.futures.process', 'multiprocessing', 'scipy']")
+                      b"[0, 0] ['concurrent.futures.process', 'multiprocessing']")
 
 
 def test_first_special_function_call_loads_scipy():
-    assert _lazy_modules_loaded("ineqtest.std_normal_cdf(0.0)", "ineqtest") == b"0.5 ['scipy']"
+    assert _lazy_modules_loaded("ineqtest.distributions.std_normal_cdf(0.0)",
+                                "ineqtest.distributions") == b"0.5 ['scipy']"
 
 
 def test_failing_cell_reports_alike_across_workers(monkeypatch, capsys):

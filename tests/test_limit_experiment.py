@@ -625,6 +625,38 @@ class TestSizeOverBoundary:
             size_over_boundary(LowerHalfLine(0.0), [], Experiment.scalar(), 0.05)
 
 
+class TestDimensionMismatch:
+    # broadcasting would fold the extra coordinates in and return a number
+    half_line = Box(lower=[0.0], upper=[np.inf])
+
+    @pytest.mark.parametrize("region,theta,d", [
+        (half_line, [0.0, 0.0], 2),
+        (IntervalUnion(intervals=((-1.0, 0.0),)), [0.0, 0.0], 2),
+        (SignAgreement(), [0.0, 0.0, 0.0], 3),
+        (Box.orthant(2), [0.0], 1),
+    ], ids=["box-1d-in-2d", "interval-in-2d", "signagree-in-3d", "orthant-2d-in-1d"])
+    def test_rejection_probability(self, region, theta, d):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            rejection_probability(region, theta, Experiment.identity(d), alpha=0.05, reps=100)
+
+    def test_size_over_boundary(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            size_over_boundary(self.half_line, [[0.0, 0.0]], Experiment.identity(2),
+                               alpha=0.05, reps=100)
+
+    def test_posterior_prob_region(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            posterior_prob_region(self.half_line, [0.0, 0.0], Experiment.identity(2))
+
+    def test_posterior_prob_halfspace(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            posterior_prob_halfspace(LowerHalfLine(0.0), [0.0, 0.0], Experiment.scalar())
+
+    def test_bayes_test(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            bayes_test(self.half_line, [0.0, 0.0], Experiment.identity(2), alpha=0.05)
+
+
 class TestMinimaxBounds:
     def test_values(self):
         lo, hi = minimax_level_bounds(0.05)

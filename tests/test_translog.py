@@ -550,6 +550,13 @@ class TestRedraws:
             posterior_prob_nsd(data, draws=20, rng=SeedPlan(1).stream(0))
         assert calls == [20] + [1] * _MAX_REDRAWS
 
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_fewer_observations_than_coefficients_raise(self, n):
+        # every X'WX is singular, though rounding can hide it from the solve
+        data = simulate_dataset(TranslogDgp(n=n, sigma_eps=0.1), SeedPlan(1).stream(0))
+        with pytest.raises(RankDeficientError):
+            posterior_prob_nsd(data, draws=200, rng=SeedPlan(1).stream(1))
+
     def test_redrawn_reps_counted(self, monkeypatch):
         dgp = TranslogDgp(n=40, sigma_eps=0.4)
 
