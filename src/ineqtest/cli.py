@@ -134,9 +134,8 @@ class RunConfig:
     delta: float = _option(_REAL, "table3 curvature slack", "R")
     region: str = _option(_region_spec, "null region (limit command)", "SPEC")
     theta: tuple = _option(_listed(_REAL), "parameter point (limit command)", "LIST")
-    workers: int = _option(_COUNT, "worker processes; a table's cells, and sd-test's "
-                           "posterior and dd bootstrap, run in parallel (default 1)", "N",
-                           default=1, hashed=None)
+    workers: int = _option(_COUNT, "worker processes; only a table's cells run in "
+                           "parallel (default 1)", "N", default=1, hashed=None)
     dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
     x_file: str = _option(str, "newline-delimited sample for sd-test", "PATH",
                           hashed=_file_digest)
@@ -496,7 +495,10 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
         kwargs = dict(delta=delta, sigma_eps=s_eps, n=n)
         if cfg.sigma_x is not None:
             kwargs["sigma_x"] = cfg.sigma_x
-        dgp = TranslogDgp(**kwargs)
+        try:
+            dgp = TranslogDgp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for ai, alpha in enumerate(alphas):
             jobs.append(partial(type1_error_sim, dgp, alpha, reps=reps, draws=draws,
                                 master_seed=plan.subplan(si, ai)))
@@ -537,12 +539,8 @@ def cmd_sd_test(cfg: RunConfig) -> TableResult:
     else:
         comparison = "two_sample"
         y = _load_sample(cfg.y_file)
-        # the dd bootstrap and the posterior run side by side, the costlier
-        # posterior listed last so that it starts first
-        p_dd, p_sd1 = parallel_map([
-            partial(dd_pvalue_nonsd1, x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(1)),
-            lambda: posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate,
-        ], cfg.workers)
+        p_dd = dd_pvalue_nonsd1(x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(1))
+        p_sd1 = posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate
         rows = [
             dict(comparison=comparison, method="ks", value=ks_pvalue_sd1(x, y)),
             dict(comparison=comparison, method="dd", value=p_dd),

@@ -51,6 +51,15 @@ _REPS_PER_BLOCK = 1024
 # null regions
 
 
+def _points(points, dim):
+    """Points as an (m, dim) float array, one point allowed as a 1-D array;
+    refuses any other width, which broadcasting would otherwise accept."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points of shape {points.shape} for a region of dimension {dim}")
+    return points
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """{theta : c . theta <= c0} for a finite nonzero direction c."""
@@ -71,8 +80,7 @@ class HalfSpace:
         return self.c.shape[0]
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points @ self.c <= self.c0
+        return _points(points, self.dim) @ self.c <= self.c0
 
 
 def LowerHalfLine(c0):
@@ -111,7 +119,7 @@ class Box:
         return self.lower.shape[0]
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _points(points, self.dim)
         return np.all((points >= self.lower) & (points <= self.upper), axis=1)
 
 
@@ -143,7 +151,9 @@ class IntervalUnion:
         return 1
 
     def contains(self, points):
-        points = np.asarray(points, dtype=float).reshape(-1)
+        """Membership of points given as shape (m,) or (m, 1)."""
+        points = np.asarray(points, dtype=float)
+        points = _points(points.reshape(-1, 1) if points.ndim < 2 else points, 1)[:, 0]
         out = np.zeros(points.shape, dtype=bool)
         for a, b in self.intervals:
             out |= (points >= a) & (points <= b)
@@ -160,7 +170,7 @@ class SignAgreement:
         return 2
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _points(points, 2)
         return points[:, 0] * points[:, 1] >= 0.0
 
 
@@ -191,7 +201,7 @@ class Predicate:
     vectorized: bool = False
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _points(points, self.dim)
         if self.vectorized:
             return np.asarray(self.fn(points), dtype=bool)
         return np.array([bool(self.fn(p)) for p in points])

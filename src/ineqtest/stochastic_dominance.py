@@ -542,21 +542,33 @@ def _resample_index(cw, w, k, u):
         idx -= down
 
 
-def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None):
-    """Min-t statistics for n_boot resamples drawn from reweighted samples:
-    mass q on the first kx points of x and the first ky points of y.
+def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, t_obs, limit=None):
+    """Min-t statistics, screened against t_obs, for n_boot resamples drawn
+    from reweighted samples: mass q on the first kx points of x and the
+    first ky points of y (0 < kx < n, 0 < ky < m).
 
-    The resampled empirical CDFs only change value at original sample
-    points, so evaluating every bootstrap min-t on the original pooled
-    grid is exact; per-row point counts come from one bincount per block
-    of replicate rows.  Row r reads n + m uniforms off ``rng``, its n
-    x-uniforms then its m y-uniforms, and each block draws its own rows,
-    so the blocking changes neither the uniforms of a row nor its
-    statistic.
+    Each returned value equals its row's min-t whenever that min-t is >=
+    t_obs, and is otherwise some value below t_obs, so the count of values
+    >= t_obs is exact.  A row is first screened at the split point, the
+    point at or below which lie the first kx x and the first ky y: a
+    uniform resamples one of those points exactly when it is at most their
+    cumulative weight (_resample_index returns the first index whose
+    cumulative weight reaches it), so two comparisons per uniform give the
+    row's empirical CDFs there, and the t-statistic they give is one term
+    of the row's min.  A row whose split-point t is below t_obs keeps that
+    t; only the other rows are reduced in full.
 
-    ``stop``, a pair (t_obs, limit), ends the drawing and the reduction
-    after the first row block that brings the number of statistics >=
-    t_obs to limit; only the rows drawn so far are returned.
+    The full reduction evaluates every min-t on the original pooled grid,
+    which is exact because the resampled empirical CDFs only change value
+    at original sample points; per-row point counts come from one bincount
+    per block of replicate rows.  Row r reads n + m uniforms off ``rng``,
+    its n x-uniforms then its m y-uniforms, and each block draws all its
+    rows, screened or not, so neither the blocking nor the screen changes
+    the uniforms of a row or its value.
+
+    ``limit`` ends the drawing and the reduction after the first row block
+    that brings the number of values >= t_obs to limit; only the rows drawn
+    so far are returned.
     """
     n, m = x_sorted.size, y_sorted.size
     wx = _two_value_weights(n, kx, q)
@@ -569,6 +581,7 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None)
     # tie run and the cumulative sums below restore the correct CDF values
     cx = np.cumsum(wx)
     cy = np.cumsum(wy)
+    x_split, y_split = cx[kx - 1], cy[ky - 1]
     # pooled-grid slot of each sample point, so a resampled point's slot
     # is a lookup instead of a search
     gx = np.searchsorted(grid, x_sorted, side="left")
@@ -578,16 +591,25 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, stop=None)
     for r0 in range(0, n_boot, step):
         rows = min(step, n_boot - r0)
         u = rng.random((rows, n + m))
-        # contiguous copies: the index search reads them several times
-        sx = gx[_resample_index(cx, wx, kx, u[:, :n].copy())]
-        sy = gy[_resample_index(cy, wy, ky, u[:, n:].copy())]
-        offset = np.arange(rows)[:, None] * big
-        countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
-        county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
-        fx = np.cumsum(countx, axis=1) / n
-        fy = np.cumsum(county, axis=1) / m
-        t_min[r0:r0 + rows] = _min_t_terms(fx, fy, n, m).min(axis=1)
-        if stop is not None and np.count_nonzero(t_min[:r0 + rows] >= stop[0]) >= stop[1]:
+        # the same integer counts, and so the same floats, as the full
+        # reduction's cumulative sums give at the split point's column
+        t = _min_t_terms(np.count_nonzero(u[:, :n] <= x_split, axis=1) / n,
+                         np.count_nonzero(u[:, n:] <= y_split, axis=1) / m, n, m)
+        live = np.flatnonzero(t >= t_obs)
+        if live.size:
+            u = u[live]
+            # contiguous copies: the index search reads them several times
+            sx = gx[_resample_index(cx, wx, kx, u[:, :n].copy())]
+            sy = gy[_resample_index(cy, wy, ky, u[:, n:].copy())]
+            offset = np.arange(live.size)[:, None] * big
+            size = live.size * big
+            countx = np.bincount((sx + offset).ravel(), minlength=size).reshape(-1, big)
+            county = np.bincount((sy + offset).ravel(), minlength=size).reshape(-1, big)
+            fx = np.cumsum(countx, axis=1) / n
+            fy = np.cumsum(county, axis=1) / m
+            t[live] = _min_t_terms(fx, fy, n, m).min(axis=1)
+        t_min[r0:r0 + rows] = t
+        if limit is not None and np.count_nonzero(t_min[:r0 + rows] >= t_obs) >= limit:
             return t_min[:r0 + rows]
     return t_min
 
@@ -602,7 +624,9 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     F_X = F_Y at the argmin: the common value is estimated by pooling,
     each sample's mass below/above the argmin is rescaled to match, and
     resamples from the weighted samples yield the reference distribution
-    for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).
+    for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).  A
+    resample whose t at the argmin is already below t_obs is not reduced
+    over the whole grid (see _bootstrap_min_t_rows); p is the same.
 
     The resampling uniforms come from one PCG64 substream of ``rng`` (see
     _substreams), drawn row by row in row blocks; ``rng``'s bit generator
@@ -630,13 +654,13 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     kx = int(np.searchsorted(x, z_hat, side="right"))
     ky = int(np.searchsorted(y, z_hat, side="right"))
     q = (kx + ky) / (n + m)
-    stop = None
+    limit = None
     if alpha is not None:
         over = np.flatnonzero((1.0 + np.arange(n_boot + 1)) / (n_boot + 1.0) > alpha)
         if over.size:
-            stop = (t_obs, int(over[0]))
+            limit = int(over[0])
     # degenerate splits cannot occur: the argmin has both ECDFs in (0, 1)
-    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, sub, stop)
+    t_star = _bootstrap_min_t_rows(x, y, kx, ky, q, n_boot, sub, t_obs, limit)
     return float((1.0 + np.sum(t_star >= t_obs)) / (n_boot + 1.0))
 
 

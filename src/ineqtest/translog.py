@@ -262,8 +262,10 @@ class TranslogDgp:
     free: FreeParams = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        # fewer observations than the design's 10 columns leave every fit
+        # rank deficient
+        if self.n < 10:
+            raise ValueError(f"need n >= 10 observations, got {self.n}")
         if self.sigma_x < 0 or self.sigma_eps < 0:
             raise ValueError("sds must be nonnegative")
         if self.free is None:

@@ -553,6 +553,16 @@ class TestMain:
         assert main(["--command", "table3", "--n", "50,100", "--reps", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("n", ["5", "9"])
+    def test_table3_refuses_fewer_points_than_coefficients(self, monkeypatch, capsys, n):
+        # refused as config before any dataset is simulated
+        monkeypatch.setattr(cli, "type1_error_sim",
+                            lambda *args, **kwargs: pytest.fail("a job ran"))
+        assert main(["--command", "table3", "--n", n, "--reps", "1"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"config error: need n >= 10 observations, got {n}\n"
+
     def test_config_file_end_to_end(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out.csv"
@@ -747,6 +757,14 @@ def _lazy_modules_loaded(call, module="ineqtest.cli"):
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def test_two_sample_sd_test_runs_in_one_process(tmp_path):
+    # only a table's cells run in worker processes; sd-test ignores --workers
+    xp, yp = _sample_files(tmp_path)
+    call = (f"ineqtest.cli.main(['--command', 'sd-test', '--x-file', {xp!r}, "
+            f"'--y-file', {yp!r}, '--dd-boot', '49', '--draws', '200', '--workers', '2'])")
+    assert _lazy_modules_loaded(call) == b"0 ['scipy']"
 
 
 def test_cli_import_loads_no_process_machinery():

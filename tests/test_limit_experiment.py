@@ -69,6 +69,12 @@ class TestHalfSpace:
         with pytest.raises(ValueError):
             hs.c[0] = 2.0
 
+    def test_wrong_width_refused(self):
+        hs = HalfSpace(c=np.array([1.0, -1.0]), c0=0.5)
+        for points in ([1.0], [[1.0]], [[1.0, 2.0, 3.0]], np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match="dimension 2"):
+                hs.contains(points)
+
     def test_lower_half_line_is_halfspace(self):
         hl = LowerHalfLine(3.0)
         assert isinstance(hl, HalfSpace)
@@ -89,6 +95,13 @@ class TestBox:
         assert region_membership(box, [0.0, 1.0])
         assert region_membership(box, [1.0, 2.0])
         assert not region_membership(box, [1.0001, 1.0])
+
+    def test_wrong_width_refused(self):
+        # a width-1 point used to broadcast against both bounds
+        with pytest.raises(ValueError, match="dimension 2"):
+            region_membership(Box.orthant(2), [1])
+        with pytest.raises(ValueError, match="dimension 2"):
+            Box.orthant(2).contains([[1.0]])
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +124,14 @@ class TestIntervalUnion:
     def test_degenerate_interval_allowed(self):
         iu = IntervalUnion(intervals=((0.0, 0.0),))
         np.testing.assert_array_equal(iu.contains([0.0, 0.1]), [True, False])
+
+    def test_takes_a_column_and_refuses_wider_points(self):
+        iu = IntervalUnion(intervals=((0.0, 1.0),))
+        np.testing.assert_array_equal(iu.contains([[0.5], [2.0]]), [True, False])
+        assert region_membership(iu, [0.5])
+        for points in ([[0.5, 2.0]], np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match="dimension 1"):
+                iu.contains(points)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +164,11 @@ class TestSignAgreement:
     def test_dim(self):
         assert SignAgreement().dim == 2
 
+    def test_wrong_width_refused(self):
+        for points in ([1.0], [[1.0, 1.0, -1.0]]):
+            with pytest.raises(ValueError, match="dimension 2"):
+                SignAgreement().contains(points)
+
 
 class TestComplementAndPredicate:
     def test_complement_flips(self):
@@ -150,6 +176,20 @@ class TestComplementAndPredicate:
         assert not region_membership(comp, [1.0, 1.0])
         assert region_membership(comp, [-1.0, 1.0])
         assert comp.dim == 2
+
+    def test_complement_refuses_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            Complement(inner=Box.orthant(2)).contains([[1.0]])
+        with pytest.raises(ValueError, match="dimension 1"):
+            region_membership(Complement(inner=IntervalUnion(intervals=((0.0, 1.0),))),
+                              [0.5, 2.0])
+
+    def test_predicate_refuses_wrong_width(self):
+        for vectorized in (False, True):
+            pred = Predicate(fn=lambda p: np.ones(len(p), dtype=bool), dim=2,
+                             vectorized=vectorized)
+            with pytest.raises(ValueError, match="dimension 2"):
+                pred.contains([[0.0, 0.0, 0.0]])
 
     def test_predicate_scalar_fn(self):
         pred = Predicate(fn=lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0, dim=2)

@@ -6,6 +6,7 @@ posterior behaviors are pinned through deterministic extreme cases where
 every bootstrap draw gives the same verdict.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -897,6 +898,91 @@ class TestDecisionOnlyDd:
         monkeypatch.setattr(sd, "dd_pvalue_nonsd1",
                             lambda x, y, n_boot, rng, alpha: full_pvalue(x, y, n_boot, rng))
         assert sd_rejection_probability(**kwargs).estimate == stopped.estimate
+
+
+# ---------------------------------------------------------------------------
+# split-point screen of the dd bootstrap
+
+
+def _unscreened_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, t_obs, limit=None):
+    """Oracle: _bootstrap_min_t_rows with every row reduced in full on the
+    pooled grid and no split-point screen, drawing the same uniforms in the
+    same row blocks, so every value is its row's min-t."""
+    n, m = x_sorted.size, y_sorted.size
+    wx = sd._two_value_weights(n, kx, q)
+    wy = sd._two_value_weights(m, ky, q)
+    grid = np.sort(np.concatenate([x_sorted, y_sorted]), kind="mergesort")
+    big = grid.size
+    cx, cy = np.cumsum(wx), np.cumsum(wy)
+    gx = np.searchsorted(grid, x_sorted, side="left")
+    gy = np.searchsorted(grid, y_sorted, side="left")
+    t_min = np.empty(n_boot)
+    step = max(1, sd._DD_BLOCK_ELEMS // big)
+    for r0 in range(0, n_boot, step):
+        rows = min(step, n_boot - r0)
+        u = rng.random((rows, n + m))
+        sx = gx[sd._resample_index(cx, wx, kx, u[:, :n].copy())]
+        sy = gy[sd._resample_index(cy, wy, ky, u[:, n:].copy())]
+        offset = np.arange(rows)[:, None] * big
+        countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
+        county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
+        fx = np.cumsum(countx, axis=1) / n
+        fy = np.cumsum(county, axis=1) / m
+        t_min[r0:r0 + rows] = sd._min_t_terms(fx, fy, n, m).min(axis=1)
+        if limit is not None and np.count_nonzero(t_min[:r0 + rows] >= t_obs) >= limit:
+            return t_min[:r0 + rows]
+    return t_min
+
+
+class TestSplitPointScreen:
+    @pytest.mark.parametrize("block", DD_BLOCKS)
+    @pytest.mark.parametrize("n", [20, 100, 1000, 2500])
+    @pytest.mark.parametrize("h", [0.0, 0.9, 1.3, 4.0])
+    def test_rows_agree_with_unscreened_oracle(self, monkeypatch, block, n, h):
+        # per row: equal wherever either value is >= t_obs, and the
+        # screened value below t_obs otherwise; the p-values are equal
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
+        bootstrap = sd._bootstrap_min_t_rows
+        rows = []
+
+        def paired(*args):
+            oracle = _unscreened_min_t_rows(*args[:6], copy.deepcopy(args[6]), *args[7:])
+            rows.append((bootstrap(*args), oracle, args[7]))
+            return rows[-1][0]
+
+        for seed in range(1 if n >= 1000 else 3):
+            x, y = _shifted_pair(n, h, 3000 + seed)
+            for n_boot, alpha in ((199, None), (199, 0.1), (99, 0.05)):
+                pvalues = []
+                for rows_fn in (paired, _unscreened_min_t_rows):
+                    monkeypatch.setattr(sd, "_bootstrap_min_t_rows", rows_fn)
+                    pvalues.append(dd_pvalue_nonsd1(x, y, n_boot=n_boot, alpha=alpha,
+                                                    rng=np.random.default_rng(seed)))
+                assert pvalues[0] == pvalues[1]
+        for screened, oracle, t_obs in rows:
+            assert screened.size == oracle.size
+            decided = (screened >= t_obs) | (oracle >= t_obs)
+            np.testing.assert_array_equal(screened[decided], oracle[decided])
+            assert np.all(screened[~decided] < t_obs)
+        if h > 0.0:
+            assert rows
+
+    def test_dominant_pair_reduces_few_rows_in_full(self, monkeypatch):
+        # far into the alternative the split-point t of nearly every row is
+        # below t_obs, so nearly no row reaches the resample index
+        x, y = _shifted_pair(2500, 4.0, 11)
+        resample_index = sd._resample_index
+        seen = []
+
+        def counted(cw, w, k, u):
+            seen.append(u.shape[0])
+            return resample_index(cw, w, k, u)
+
+        monkeypatch.setattr(sd, "_resample_index", counted)
+        p = dd_pvalue_nonsd1(x, y, n_boot=999, rng=np.random.default_rng(11))
+        assert p == 1.0 / 1000.0
+        # each row reduced in full resamples x, then y
+        assert sum(seen) / 2 < 0.01 * 999
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,19 @@ class TestTranslogDgp:
         with pytest.raises(ValueError):
             TranslogDgp(sigma_eps=-0.1)
 
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_fewer_observations_than_coefficients_refused(self, n):
+        # the design has 10 columns, so every fit of fewer points would fail
+        with pytest.raises(ValueError, match="n >= 10"):
+            TranslogDgp(n=n)
+        assert TranslogDgp(n=10).n == 10
+
+
+def _first_rows(data, n):
+    """The first n observations of a dataset; TranslogDgp refuses n < 10,
+    so a smaller dataset is cut from a simulated one."""
+    return TranslogData(ln_y=data.ln_y[:n], ln_w=data.ln_w[:n], response=data.response[:n])
+
 
 class TestSimulateAndFit:
     def test_degenerate_dgp_response_is_intercept(self):
@@ -408,8 +421,7 @@ class TestSimulateAndFit:
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_rank_deficiency_raises(self):
-        dgp = TranslogDgp(n=5)
-        data = simulate_dataset(dgp, np.random.default_rng(5))
+        data = _first_rows(simulate_dataset(TranslogDgp(n=10), np.random.default_rng(5)), 5)
         with pytest.raises(RankDeficientError):
             ols_fit(data)
 
@@ -553,7 +565,8 @@ class TestRedraws:
     @pytest.mark.parametrize("n", [5, 9])
     def test_fewer_observations_than_coefficients_raise(self, n):
         # every X'WX is singular, though rounding can hide it from the solve
-        data = simulate_dataset(TranslogDgp(n=n, sigma_eps=0.1), SeedPlan(1).stream(0))
+        data = _first_rows(simulate_dataset(TranslogDgp(n=10, sigma_eps=0.1),
+                                            SeedPlan(1).stream(0)), n)
         with pytest.raises(RankDeficientError):
             posterior_prob_nsd(data, draws=200, rng=SeedPlan(1).stream(1))
 
