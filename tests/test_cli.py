@@ -594,6 +594,26 @@ LIMIT_GOLDEN_SHA256 = {
     "box:0..inf,0..inf": "3b71f67e63c3ffd221a756091a8af74e9b4f0a889a3ebe50327dbc255a8983c7",
     "signagree": "f0a3760aa838c94e3980568a0961fcdda46be9e1b5d4e17d301474dbc09ed1c8",
 }
+# sha256 of the stdout of `sd-test --seed 3` on _sample_files(n=120) under
+# both bootstraps: one-sample on the shifted x file (some points above the
+# reference's support) and on the uniform y file, and two-sample x against
+# y; and of default `kline`.  Recorded while the one-sample reference was
+# still a CDF object with an evaluate method.
+SD_TEST_GOLDEN_SHA256 = {
+    ("x", "banks"):
+        "12b532d644eda5eebbb25488c6a249d1c403cb90cc1543b95e4fdeaed7922f41",
+    ("x", "rubin"):
+        "cf4ca12f28912005ba81f9934cd8022b03bc8594ae2c322c3bf9cd8b743689e8",
+    ("y", "banks"):
+        "d0c0448c433a07cb5b781d4a82cf116c168835d3c88950ee921af748f03d9a74",
+    ("y", "rubin"):
+        "9b78dd446cd39420f7583f6c7380ad06ebad6840efafd3adf0ba446173beacfe",
+    ("x,y", "banks"):
+        "9eab49d8f15a87253024740cde9c0cef91a7356510af9af505f937e02d3b9895",
+    ("x,y", "rubin"):
+        "bee2f20d0a287b71f7acf740cea2a37a8d17ceabbfca841047572f442103b2d6",
+}
+KLINE_GOLDEN_SHA256 = "23b2b9f1abce706cf0b40ecef49fe2abe5ecd712ffa16db209d1c9545d7222ae"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -639,6 +659,24 @@ def _sample_files(tmp_path, n=60):
     np.savetxt(xp, rng.uniform(0.15, 1.15, n), fmt="%.17g")
     np.savetxt(yp, rng.uniform(0.0, 1.0, n), fmt="%.17g")
     return str(xp), str(yp)
+
+
+@pytest.mark.parametrize("files, bootstrap", sorted(SD_TEST_GOLDEN_SHA256))
+def test_sd_test_golden_output(capsys, tmp_path, files, bootstrap):
+    paths = dict(zip("xy", _sample_files(tmp_path, n=120)))
+    argv = ["--command", "sd-test", "--bootstrap", bootstrap, "--seed", "3"]
+    for flag, name in zip(("--x-file", "--y-file"), files.split(",")):
+        argv += [flag, paths[name]]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == SD_TEST_GOLDEN_SHA256[files, bootstrap])
+
+
+def test_kline_golden_output(capsys):
+    assert main(["--command", "kline"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == KLINE_GOLDEN_SHA256
 
 
 def _stochastic_commands(tmp_path):
