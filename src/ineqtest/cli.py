@@ -409,6 +409,8 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
     from .stochastic_dominance import fixed_design_sample
 
     ns = cfg.n or (100, 1000)
+    if min(ns) < 2:
+        raise ConfigError(f"table1 needs n >= 2 points per sample, got {min(ns)}")
     hs = cfg.h or (0.0, 0.5, 0.9)
     sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
                       dd_boot=cfg.dd_boot or 999)

@@ -25,11 +25,6 @@ def std_normal_cdf(x):
     return special.ndtr(x)
 
 
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-
-
 def _check_shapes(a, b, name):
     """Beta shape parameters must be > 0; nan fails the test too."""
     if not (np.all(np.asarray(a, dtype=float) > 0.0) and np.all(np.asarray(b, dtype=float) > 0.0)):

@@ -272,12 +272,6 @@ def _halfspace_posterior(region: HalfSpace, x, exp: Experiment):
     return std_normal_cdf((region.c0 - _fold_columns(np.add, x * region.c)) / math.sqrt(var))
 
 
-def posterior_prob_halfspace(region: HalfSpace, x, exp: Experiment) -> float:
-    """Closed-form posterior probability of a half-space: F((c0 - c.x)/sd)."""
-    _check_dims(region, x, exp)
-    return float(_halfspace_posterior(region, _rows(x), exp)[0])
-
-
 def _signagree_posterior(x, exp: Experiment):
     """Both-positive plus both-negative posterior mass,
     1 - Phi(u) - Phi(v) + 2 Phi2(u, v; rho) with u = -x1/sd1, v = -x2/sd2;
@@ -497,10 +491,3 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
     thetas = tuple(tuple(float(v) for v in t) for t in grid)
     return SizeResult(thetas=thetas, summaries=tuple(summaries),
                       argmax_index=argmax, closure_indices=closure)
-
-
-def minimax_level_bounds(alpha) -> tuple:
-    """Open-interval bounds (alpha, alpha/(1-alpha)) for the least favorable
-    prior weight in the two-point minimax problem."""
-    check_alpha(alpha)
-    return (float(alpha), float(alpha / (1.0 - alpha)))

@@ -8,9 +8,10 @@ Kolmogorov-Smirnov for the null that dominance holds, and order-statistic /
 minimum-t-statistic constructions for the null that it does not.
 
 Conventions.  "X dominates" means F_X(t) <= F_Y(t) for all t (X puts more
-mass on high values).  Step CDFs are evaluated right-continuously, and all
-dominance checks run on the pooled sample points with right-continuous
-evaluation.
+mass on high values).  An opponent is a reference CDF, given as a
+function that maps an array of points to CDF values, or a sample.
+Empirical and bootstrap CDFs are evaluated right-continuously, and all
+dominance checks run on the pooled sample points.
 """
 
 from __future__ import annotations
@@ -29,81 +30,9 @@ RUBIN = "rubin"
 BANKS = "banks"
 
 
-# ---------------------------------------------------------------------------
-# CDF representations
-
-
-@dataclass(frozen=True)
-class StepCdf:
-    """Right-continuous step CDF with mass ``weights`` at sorted ``points``."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.size == 0 or pts.shape != w.shape:
-            raise ValueError("points and weights must be equal-length 1-d arrays")
-        if np.any(np.diff(pts) < 0):
-            raise ValueError("points must be sorted")
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be a probability vector")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    def evaluate(self, t):
-        """Reads exactly 1 from the last point on, where the weights' sum
-        may round to 1 +- 1 ulp."""
-        t = np.asarray(t, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        cum[-1] = 1.0
-        return cum[np.searchsorted(self.points, t, side="right")]
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearCdf:
-    """CDF linear between knots; 0 before the first knot, 1 after the last.
-
-    Knot values may jump only implicitly through repeated knots, so the
-    smoothed bootstrap draws below carry their endpoint atoms by placing
-    knot values directly.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if k.shape != v.shape or k.ndim != 1 or k.size == 0:
-            raise ValueError("knots and values must be equal-length 1-d arrays")
-        if np.any(np.diff(k) < 0) or np.any(np.diff(v) < -1e-12):
-            raise ValueError("knots and values must be nondecreasing")
-        k.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
-
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, self.knots, self.values, left=0.0, right=1.0)
-
-
-@dataclass(frozen=True)
-class ReferenceCdf:
-    """Known reference distribution, wrapped as an evaluable CDF."""
-
-    fn: object
-    name: str = "reference"
-
-    def evaluate(self, t):
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-
-
-UNIFORM01 = ReferenceCdf(fn=lambda t: np.clip(t, 0.0, 1.0), name="uniform01")
+def UNIFORM01(t):
+    """The Unif(0, 1) reference CDF."""
+    return np.clip(t, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +64,7 @@ class SdConfig:
 
 
 # ---------------------------------------------------------------------------
-# plain empirical CDFs and the fixed design
+# samples and the fixed design
 
 
 def _sorted_sample(sample):
@@ -149,12 +78,6 @@ def _sorted_sample(sample):
     if not np.isfinite(s).all():
         raise ValueError("sample holds non-finite values (nan or inf)")
     return np.sort(s)
-
-
-def ecdf(sample) -> StepCdf:
-    """Empirical CDF: jumps of 1/n at the order statistics."""
-    s = _sorted_sample(sample)
-    return StepCdf(points=s, weights=np.full(s.size, 1.0 / s.size))
 
 
 def fixed_design_sample(n, h):
@@ -288,8 +211,8 @@ def _zero_posterior(xs, fixed_bound, ys, tol):
 
 def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     """Number of posterior draws with F_X <= bound + tol on the pooled
-    grid, for the sorted sample ``xs`` against the reference CDF ``ref`` or
-    the sorted opponent sample ``ys`` (see _as_opponent).
+    grid, for the sorted sample ``xs`` against the reference CDF function
+    ``ref`` or the sorted opponent sample ``ys`` (see _as_opponent).
 
     X's weight rows come off the generator ``rx`` and the opponent
     sample's off ``ry``, each row-major, in lockstep draw blocks of
@@ -311,7 +234,7 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     """
     if ys is None:
         grid = xs
-        fixed_bound = np.asarray(ref.evaluate(grid), dtype=float) + tol
+        fixed_bound = np.asarray(ref(grid), dtype=float) + tol
     else:
         grid = np.sort(np.concatenate([xs, ys]))
         fixed_bound = None
@@ -349,53 +272,27 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     return count
 
 
-def bb_draw(sample, variant, rng):
-    """One bootstrap posterior draw of the sample's CDF.
-
-    rubin: Dirichlet(1,..,1) weights on the observed points (step CDF).
-    banks: Dirichlet(1,..,1) weights over the n+1 cells delimited by the
-    order statistics, spread linearly within each gap; the first and last
-    cells sit as atoms at the sample min and max, so there is no mass
-    outside the observed range.
-    """
-    xs = _sorted_sample(sample)
-    if variant == RUBIN:
-        return StepCdf(points=xs, weights=dirichlet_flat_sample(xs.size, rng))
-    if variant != BANKS:
-        raise ValueError(f"unknown bootstrap variant {variant!r}")
-    if xs.size == 1:
-        return StepCdf(points=xs, weights=np.array([1.0]))
-    w = dirichlet_flat_sample(xs.size + 1, rng)
-    # knot values: F(min) = atom w0, interior knots accumulate the gap
-    # weights up to 1 minus the top atom just below the max; a repeated
-    # max knot carries the top atom's jump to 1 (np.interp evaluates the
-    # last duplicate, keeping the CDF right-continuous there)
-    knots = np.append(xs, xs[-1])
-    values = np.concatenate([[w[0]], w[0] + np.cumsum(w[1:-1]), [1.0]])
-    return PiecewiseLinearCdf(knots=knots, values=values)
-
-
 # ---------------------------------------------------------------------------
 # Bayesian dominance posterior
 
 
 def _as_opponent(opponent):
-    """(ref, None) for a CDF object or a callable CDF ``ref``, else (None,
-    the opponent sample sorted)."""
-    if isinstance(opponent, (StepCdf, PiecewiseLinearCdf, ReferenceCdf)):
-        return opponent, None
+    """(opponent, None) for a reference CDF, a function of an array of
+    points, else (None, the opponent sample sorted)."""
     if callable(opponent):
-        return ReferenceCdf(fn=opponent), None
+        return opponent, None
     return None, _sorted_sample(opponent)
 
 
 def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None) -> McSummary:
     """Posterior probability that X's CDF dominates the opponent.
 
-    The event checked per posterior draw is F_X(t) <= opponent(t) + tol at
-    every t in the evaluation grid (union of sample points, right-continuous
-    values).  Against a raw opponent sample, both CDFs get independent
-    posterior draws per iteration.
+    ``opponent`` is a reference CDF, given as a function that maps an array
+    of points to CDF values (UNIFORM01, say), or a sample.  The event
+    checked per posterior draw is F_X(t) <= opponent(t) + tol at every t in
+    the evaluation grid (union of sample points, right-continuous values).
+    Against an opponent sample, both CDFs get independent posterior draws
+    per iteration.
 
     X's weights come from one PCG64 substream of ``rng`` and the opponent
     sample's from a second (see _substreams), so ``rng`` must be built on
@@ -420,9 +317,11 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
 def ks_pvalue_sd1(x_sample, opponent) -> float:
     """One-sided Kolmogorov-Smirnov p-value for the null that X dominates.
 
-    Large upward excursions of F_X-hat above the opponent are evidence
-    against dominance.  Uses the asymptotic exponential tail formula:
-    one-sample exp(-2 n D+^2), two-sample exp(-2 D+^2 nm/(n+m)).
+    ``opponent`` is a reference CDF function or a sample, as in
+    posterior_prob_sd1.  Large upward excursions of F_X-hat above the
+    opponent are evidence against dominance.  Uses the asymptotic
+    exponential tail formula: one-sample exp(-2 n D+^2), two-sample
+    exp(-2 D+^2 nm/(n+m)).
 
     One-sample use assumes the sample lies in the reference's support,
     [0, 1] for UNIFORM01 (which reads 0 below it and 1 above it).  The
@@ -434,7 +333,7 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
     ref, y = _as_opponent(opponent)
     if y is None:
         fx = np.arange(1, n + 1) / n
-        d_plus = float(np.max(fx - np.asarray(ref.evaluate(x), dtype=float)))
+        d_plus = float(np.max(fx - np.asarray(ref(x), dtype=float)))
         scale = n
     else:
         m = y.size
@@ -450,11 +349,13 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
 def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     """Order-statistic p-value for the null that X does NOT dominate f0.
 
-    Under sampling from f0 itself, f0(X_(k)) ~ Beta(k, n+1-k); values far
-    in that distribution's upper tail at every k are evidence that X sits
-    above f0 everywhere.  Each k contributes the upper-tail p-value
-    1 - I_{f0(x_(k))}(k, n+1-k), and the overall p-value is the largest
-    component (reject only if every pointwise test rejects).
+    f0 is a reference CDF, a function that maps an array of points to CDF
+    values; this test has no two-sample form.  Under sampling from f0
+    itself, f0(X_(k)) ~ Beta(k, n+1-k); values far in that distribution's
+    upper tail at every k are evidence that X sits above f0 everywhere.
+    Each k contributes the upper-tail p-value 1 - I_{f0(x_(k))}(k, n+1-k),
+    and the overall p-value is the largest component (reject only if every
+    pointwise test rejects).
 
     The sample is assumed to lie in f0's support, [0, 1] for UNIFORM01.
     f0's values are clipped into [0, 1] before the beta tails, unlike in
@@ -462,8 +363,7 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     """
     x = _sorted_sample(x_sample)
     n = x.size
-    ref, _ = _as_opponent(f0)
-    u = np.clip(np.asarray(ref.evaluate(x), dtype=float), 0.0, 1.0)
+    u = np.clip(np.asarray(f0(x), dtype=float), 0.0, 1.0)
     k = np.arange(1, n + 1, dtype=float)
     comp = 1.0 - beta_cdf(u, k, n + 1.0 - k)
     return float(np.max(comp))

@@ -159,11 +159,9 @@ def shares(p: TranslogParams, y, w):
 
 @dataclass(frozen=True)
 class Hessian3:
-    """Price Hessian of the cost function at one point, with the cost
-    level it was scaled by."""
+    """Price Hessian of the cost function at one point."""
 
     matrix: np.ndarray
-    cost_scale: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -182,7 +180,7 @@ def hessian(p: TranslogParams, y, w) -> Hessian3:
     r = shares(p, y, w)
     cost = math.exp(log_cost(p, y, w))
     core = p.B + np.outer(r, r) - np.diag(r)
-    return Hessian3(matrix=cost * core / np.outer(w, w), cost_scale=cost)
+    return Hessian3(matrix=cost * core / np.outer(w, w))
 
 
 def is_nsd(h, tol=NSD_TOL) -> bool:

@@ -563,6 +563,16 @@ class TestMain:
         assert out.out == ""
         assert out.err == f"config error: need n >= 10 observations, got {n}\n"
 
+    @pytest.mark.parametrize("n", ["1", "100,1"])
+    def test_table1_refuses_single_point_samples(self, monkeypatch, capsys, n):
+        # refused as config before any cell runs
+        monkeypatch.setattr(cli, "parallel_map",
+                            lambda *args, **kwargs: pytest.fail("a cell ran"))
+        assert main(["--command", "table1", "--n", n]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "config error: table1 needs n >= 2 points per sample, got 1\n"
+
     def test_config_file_end_to_end(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out.csv"

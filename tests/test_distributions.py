@@ -10,7 +10,7 @@ from conftest import (oracle_beta_cdf_int, oracle_bivariate_normal_cdf_quad,
 from ineqtest.distributions import (CovarianceMatrix, beta_cdf, beta_quantile,
                                     bivariate_normal_cdf,
                                     dirichlet_flat_sample, mvn_sample,
-                                    std_normal_cdf, std_normal_pdf,
+                                    std_normal_cdf,
                                     std_normal_quantile)
 
 
@@ -47,12 +47,6 @@ class TestNormal:
     @given(st.floats(min_value=-5, max_value=5))
     def test_cdf_quantile_round_trip(self, x):
         assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-9)
-
-    def test_pdf_is_cdf_derivative(self):
-        h = 1e-6
-        for x in (-2.2, 0.0, 0.7, 3.1):
-            numeric = (std_normal_cdf(x + h) - std_normal_cdf(x - h)) / (2 * h)
-            assert std_normal_pdf(x) == pytest.approx(numeric, rel=1e-8)
 
 
 class TestBeta:

@@ -7,8 +7,6 @@ conftest); Monte Carlo paths are checked against the closed forms.
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import (
     oracle_bivariate_normal_cdf_quad,
@@ -33,8 +31,6 @@ from ineqtest.limit_experiment import (
     bayes_test,
     halfspace_rejection_prob_exact,
     kline_orthant_posterior,
-    minimax_level_bounds,
-    posterior_prob_halfspace,
     posterior_prob_region,
     region_membership,
     rejection_probability,
@@ -232,7 +228,7 @@ class TestHalfspacePosterior:
     def test_scalar_matches_oracle(self, x):
         hl = LowerHalfLine(0.0)
         exp = Experiment.scalar()
-        assert posterior_prob_halfspace(hl, [x], exp) == pytest.approx(
+        assert posterior_prob_region(hl, [x], exp).estimate == pytest.approx(
             oracle_normal_cdf(-x), abs=1e-14)
 
     def test_general_direction_matches_oracle(self):
@@ -242,17 +238,17 @@ class TestHalfspacePosterior:
         x = np.array([0.4, -0.1])
         sd = np.sqrt(2.0 + 2 * 2.0 * 0.5 + 4 * 1.0)
         expected = oracle_normal_cdf((0.3 - (0.4 + 2 * -0.1)) / sd)
-        assert posterior_prob_halfspace(hs, x, exp) == pytest.approx(expected, abs=1e-14)
+        assert posterior_prob_region(hs, x, exp).estimate == pytest.approx(expected, abs=1e-14)
 
     def test_degenerate_direction_raises(self):
         cov = CovarianceMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         hs = HalfSpace(c=np.array([1.0, 1.0]), c0=0.0)
         with pytest.raises(ValueError):
-            posterior_prob_halfspace(hs, np.zeros(2), Experiment(cov=cov))
+            posterior_prob_region(hs, np.zeros(2), Experiment(cov=cov))
 
     def test_at_boundary_point_is_half(self):
-        assert posterior_prob_halfspace(LowerHalfLine(0.0), [0.0],
-                                        Experiment.scalar()) == 0.5
+        assert posterior_prob_region(LowerHalfLine(0.0), [0.0],
+                                     Experiment.scalar()).estimate == 0.5
 
 
 class TestRegionPosterior:
@@ -517,7 +513,7 @@ class TestBayesTest:
         # alpha = 0.5 must reject under the inclusive convention.
         hl = LowerHalfLine(0.0)
         exp = Experiment.scalar()
-        assert posterior_prob_halfspace(hl, [0.0], exp) == 0.5
+        assert posterior_prob_region(hl, [0.0], exp).estimate == 0.5
         assert bayes_test(hl, [0.0], exp, alpha=0.5) == REJECT
         assert bayes_test(hl, [0.0], exp, alpha=0.49999) == ACCEPT
 
@@ -688,29 +684,6 @@ class TestDimensionMismatch:
         with pytest.raises(ValueError, match="dimensions differ"):
             posterior_prob_region(self.half_line, [0.0, 0.0], Experiment.identity(2))
 
-    def test_posterior_prob_halfspace(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            posterior_prob_halfspace(LowerHalfLine(0.0), [0.0, 0.0], Experiment.scalar())
-
     def test_bayes_test(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             bayes_test(self.half_line, [0.0, 0.0], Experiment.identity(2), alpha=0.05)
-
-
-class TestMinimaxBounds:
-    def test_values(self):
-        lo, hi = minimax_level_bounds(0.05)
-        assert lo == pytest.approx(0.05)
-        assert hi == pytest.approx(0.05 / 0.95)
-        assert lo < hi
-
-    # alpha / (1 - alpha) reaches 1 at alpha = 1/2, so strict hi < 1 only
-    # holds below that.
-    @given(st.floats(min_value=0.01, max_value=0.49))
-    def test_ordering_property(self, alpha):
-        lo, hi = minimax_level_bounds(alpha)
-        assert 0.0 < lo < hi < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            minimax_level_bounds(1.0)

@@ -17,18 +17,14 @@ from scipy import stats
 
 import ineqtest.stochastic_dominance as sd
 from conftest import oracle_beta_cdf_int, oracle_normal_cdf
+from ineqtest.distributions import dirichlet_flat_sample
 from ineqtest.mc_harness import McSummary, SeedPlan
 from ineqtest.stochastic_dominance import (
     BANKS,
     RUBIN,
     UNIFORM01,
-    PiecewiseLinearCdf,
-    ReferenceCdf,
     SdConfig,
-    StepCdf,
-    bb_draw,
     dd_pvalue_nonsd1,
-    ecdf,
     fixed_design_sample,
     iu_beta_pvalue_nonsd1,
     iu_maxt_pvalue_nonsd1,
@@ -39,74 +35,19 @@ from ineqtest.stochastic_dominance import (
 
 
 # ---------------------------------------------------------------------------
-# CDF containers
-
-
-class TestStepCdf:
-    def test_right_continuous_values(self):
-        cdf = StepCdf(points=np.array([0.0, 1.0, 2.0]),
-                      weights=np.array([0.2, 0.3, 0.5]))
-        np.testing.assert_allclose(
-            cdf.evaluate([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
-            [0.0, 0.2, 0.2, 0.5, 0.5, 1.0, 1.0])
-
-    def test_tied_points_accumulate(self):
-        cdf = StepCdf(points=np.array([1.0, 1.0]), weights=np.array([0.4, 0.6]))
-        assert cdf.evaluate(1.0) == pytest.approx(1.0)
-        assert cdf.evaluate(0.999) == 0.0
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            StepCdf(points=np.array([1.0, 0.0]), weights=np.array([0.5, 0.5]))
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            StepCdf(points=np.array([0.0, 1.0]), weights=np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            StepCdf(points=np.array([0.0, 1.0]), weights=np.array([1.5, -0.5]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StepCdf(points=np.array([0.0, 1.0]), weights=np.array([1.0]))
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31))
-    def test_evaluate_is_monotone_cdf(self, k, seed):
-        rng = np.random.default_rng(seed)
-        pts = np.sort(rng.normal(size=k))
-        w = rng.dirichlet(np.ones(k))
-        vals = StepCdf(points=pts, weights=w).evaluate(np.linspace(-3, 3, 41))
-        assert np.all(np.diff(vals) >= -1e-15)
-        assert np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12))
-
-
-class TestPiecewiseLinearCdf:
-    def test_linear_between_knots(self):
-        cdf = PiecewiseLinearCdf(knots=np.array([0.0, 2.0]),
-                                 values=np.array([0.1, 1.0]))
-        assert cdf.evaluate(1.0) == pytest.approx(0.55)
-        assert cdf.evaluate(-1.0) == 0.0
-        assert cdf.evaluate(0.0) == pytest.approx(0.1)
-        assert cdf.evaluate(5.0) == 1.0
-
-    def test_decreasing_values_rejected(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearCdf(knots=np.array([0.0, 1.0]),
-                               values=np.array([0.5, 0.4]))
-
-    def test_unsorted_knots_rejected(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearCdf(knots=np.array([1.0, 0.0]),
-                               values=np.array([0.0, 1.0]))
+# reference CDFs and config
 
 
 class TestReferenceCdf:
     def test_uniform01(self):
-        np.testing.assert_allclose(UNIFORM01.evaluate([-1.0, 0.0, 0.25, 1.0, 2.0]),
-                                   [0.0, 0.0, 0.25, 1.0, 1.0])
+        np.testing.assert_array_equal(UNIFORM01(np.array([-1.0, 0.0, 0.25, 1.0, 2.0])),
+                                      [0.0, 0.0, 0.25, 1.0, 1.0])
 
-    def test_wraps_callable(self):
-        ref = ReferenceCdf(fn=lambda t: np.clip(t / 2.0, 0.0, 1.0))
-        assert ref.evaluate(1.0) == pytest.approx(0.5)
+
+def _step_cdf(points):
+    """The empirical CDF of ``points`` as a reference CDF function."""
+    s = np.sort(np.asarray(points, dtype=float))
+    return lambda t: np.searchsorted(s, t, side="right") / s.size
 
 
 class TestSdConfig:
@@ -134,25 +75,13 @@ class TestSdConfig:
 
 
 # ---------------------------------------------------------------------------
-# empirical CDFs and the fixed design
-
-
-class TestEcdf:
-    def test_jumps_at_order_statistics(self):
-        cdf = ecdf([3.0, 1.0, 2.0])
-        np.testing.assert_allclose(cdf.evaluate([0.5, 1.0, 1.5, 2.0, 3.0]),
-                                   [0.0, 1 / 3, 1 / 3, 2 / 3, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf([])
+# sample validation and the fixed design
 
 
 _GOOD = [0.1, 0.4, 0.6, 0.9]
 
 
 @pytest.mark.parametrize("call", [
-    ecdf,
     lambda s: bb_draw(s, BANKS, np.random.default_rng(0)),
     lambda s: bb_draw(s, RUBIN, np.random.default_rng(0)),
     lambda s: posterior_prob_sd1(s, UNIFORM01, cfg=SdConfig(draws=10)),
@@ -164,7 +93,7 @@ _GOOD = [0.1, 0.4, 0.6, 0.9]
     lambda s: iu_maxt_pvalue_nonsd1(_GOOD, s),
     lambda s: dd_pvalue_nonsd1(s, _GOOD, n_boot=9),
     lambda s: dd_pvalue_nonsd1(_GOOD, s, n_boot=9),
-], ids=["ecdf", "bb_draw_banks", "bb_draw_rubin", "posterior_x", "posterior_y", "ks_x",
+], ids=["bb_draw_banks", "bb_draw_rubin", "posterior_x", "posterior_y", "ks_x",
         "ks_y", "iu_beta", "iu_maxt_x", "iu_maxt_y", "dd_x", "dd_y"])
 def test_bad_samples_refused(call):
     # every sample a dominance function reads passes one validator
@@ -200,6 +129,40 @@ class TestFixedDesign:
 # bootstrap draws
 
 
+def _weighted_step(points, weights):
+    """Right-continuous step CDF with mass ``weights`` at the sorted
+    ``points``; reads exactly 1 from the last point on, where the weights'
+    sum may round to 1 +- 1 ulp."""
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    cum[-1] = 1.0
+    return lambda t: cum[np.searchsorted(points, t, side="right")]
+
+
+def bb_draw(sample, variant, rng):
+    """One bootstrap posterior draw of the sample's CDF, as a function of
+    an array of points: the oracle the batched rows are checked against.
+
+    rubin: Dirichlet(1,..,1) weights on the observed points (step CDF).
+    banks: Dirichlet(1,..,1) weights over the n+1 cells delimited by the
+    order statistics, spread linearly within each gap; the first and last
+    cells sit as atoms at the sample min and max, so there is no mass
+    outside the observed range.
+    """
+    xs = sd._sorted_sample(sample)
+    if variant == RUBIN:
+        return _weighted_step(xs, dirichlet_flat_sample(xs.size, rng))
+    if xs.size == 1:
+        return _weighted_step(xs, np.ones(1))
+    w = dirichlet_flat_sample(xs.size + 1, rng)
+    # knot values: F(min) = atom w0, interior knots accumulate the gap
+    # weights up to 1 minus the top atom just below the max; a repeated
+    # max knot carries the top atom's jump to 1 (np.interp evaluates the
+    # last duplicate, keeping the CDF right-continuous there)
+    knots = np.append(xs, xs[-1])
+    values = np.concatenate([[w[0]], w[0] + np.cumsum(w[1:-1]), [1.0]])
+    return lambda t: np.interp(t, knots, values, left=0.0, right=1.0)
+
+
 def _posterior_rows(sample, variant, rng, draws, grid):
     """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``: the
     row evaluator run over the whole grid at once."""
@@ -213,52 +176,41 @@ def _posterior_rows(sample, variant, rng, draws, grid):
 
 class TestBbDraw:
     def test_rubin_is_weighted_step(self):
-        rng = np.random.default_rng(3)
-        draw = bb_draw([2.0, 1.0, 3.0], RUBIN, rng)
-        assert isinstance(draw, StepCdf)
-        np.testing.assert_allclose(draw.points, [1.0, 2.0, 3.0])
-        assert draw.weights.sum() == pytest.approx(1.0)
-        assert np.all(draw.weights >= 0)
+        # a right-continuous step up at each sample point, flat in between
+        draw = bb_draw([2.0, 1.0, 3.0], RUBIN, np.random.default_rng(3))
+        vals = draw(np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
+        assert vals[0] == 0.0
+        assert 0.0 < vals[1] == vals[2] < vals[3] == vals[4] < vals[5] == vals[6] == 1.0
 
     def test_banks_is_piecewise_linear_with_endpoint_atoms(self):
-        rng = np.random.default_rng(4)
-        draw = bb_draw([1.0, 2.0, 4.0], BANKS, rng)
-        assert isinstance(draw, PiecewiseLinearCdf)
-        # the max knot repeats so the top atom can jump to 1 there
-        np.testing.assert_allclose(draw.knots, [1.0, 2.0, 4.0, 4.0])
+        draw = bb_draw([1.0, 2.0, 4.0], BANKS, np.random.default_rng(4))
         # atom at the minimum: value jumps from 0 to w0 at the first knot
-        assert draw.evaluate(0.999) == 0.0
-        assert draw.evaluate(1.0) > 0.0
+        assert draw(0.999) == 0.0
+        assert draw(1.0) > 0.0
+        # linear across each gap between order statistics
+        assert draw(1.5) == pytest.approx((draw(1.0) + draw(2.0)) / 2.0, abs=1e-15)
+        assert draw(3.0) == pytest.approx((draw(2.0) + draw(np.nextafter(4.0, 0.0))) / 2.0,
+                                          abs=1e-15)
         # no mass beyond the max, and the top atom closes the CDF there
-        assert draw.evaluate(4.0) == 1.0
-        assert draw.evaluate(3.999) < 1.0
+        assert draw(4.0) == 1.0
+        assert draw(3.999) < 1.0
 
     def test_single_point_sample(self):
-        rng = np.random.default_rng(5)
-        draw = bb_draw([7.0], BANKS, rng)
-        assert isinstance(draw, StepCdf)
-        assert draw.evaluate(7.0) == 1.0
-        assert draw.evaluate(6.9) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bb_draw([], RUBIN, np.random.default_rng(0))
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            bb_draw([1.0, 2.0], "wild", np.random.default_rng(0))
+        draw = bb_draw([7.0], BANKS, np.random.default_rng(5))
+        assert draw(7.0) == 1.0
+        assert draw(6.9) == 0.0
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_reads_exactly_one_from_the_max(self, variant):
         # a cumsum of normalized weights ends at 1 +- 1 ulp; the rows and
-        # the CDF objects must not
+        # the oracle must not
         sample = np.linspace(0.05, 0.95, 20)
         grid = np.append(sample, [0.95, 2.0])
         rows = _posterior_rows(sample, variant, np.random.default_rng(3), 500, grid)
         assert np.all(rows[:, -3:] == 1.0)
         for seed in range(200):
             draw = bb_draw(sample, variant, np.random.default_rng(seed))
-            assert np.all(draw.evaluate([0.95, 2.0]) == 1.0)
+            assert np.all(draw(np.array([0.95, 2.0])) == 1.0)
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_matches_batched_rows(self, variant):
@@ -266,7 +218,7 @@ class TestBbDraw:
         # same way, so a same-seeded single draw must agree everywhere.
         sample = [0.3, 0.9, 0.1, 0.6]
         grid = np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9, 1.5])
-        one = bb_draw(sample, variant, np.random.default_rng(11)).evaluate(grid)
+        one = bb_draw(sample, variant, np.random.default_rng(11))(grid)
         rows = _posterior_rows(sample, variant, np.random.default_rng(11), 1, grid)
         np.testing.assert_allclose(one, rows[0], atol=1e-14)
 
@@ -389,8 +341,7 @@ class TestPosteriorProbSd1:
         assert out.estimate > 0.8
 
     def test_step_opponent_accepted(self):
-        opp = ecdf([1.0, 2.0])
-        out = posterior_prob_sd1([11.0, 12.0], opp, cfg=SdConfig(draws=50))
+        out = posterior_prob_sd1([11.0, 12.0], _step_cdf([1.0, 2.0]), cfg=SdConfig(draws=50))
         assert out.estimate == 1.0
 
 
@@ -410,7 +361,7 @@ def _screened_cases(seed):
     # one sample: the sample max sits below the point where the reference
     # plus tol reaches 1 (the step reference reaches 1 at 1.0)
     x1 = rng.uniform(0.0, 0.99, n)
-    step = ecdf(np.append(rng.uniform(0.0, 1.0, n), 1.0))
+    step = _step_cdf(np.append(rng.uniform(0.0, 1.0, n), 1.0))
     cases = [("one_sample", x1, UNIFORM01, BANKS, 0.0),
              ("one_sample", x1, UNIFORM01, BANKS, 0.005),
              ("one_sample", x1, lambda t: np.clip(t, 0.0, 1.0), BANKS, 0.0),
@@ -467,7 +418,7 @@ class TestZeroPosteriorScreen:
         def screened(x, opponent, tol):
             ref, ys = sd._as_opponent(opponent)
             xs = np.sort(np.asarray(x, dtype=float))
-            bound = None if ref is None else ref.evaluate(xs) + tol
+            bound = None if ref is None else ref(xs) + tol
             return sd._zero_posterior(xs, bound, ys, tol)
 
         x_low = [0.2, 0.5, 0.9]

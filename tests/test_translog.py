@@ -187,7 +187,6 @@ class TestHessian:
     def test_boundary_params_give_bitwise_zero(self):
         h = hessian(boundary_params(), 1.0, UNIT_W)
         assert np.all(h.matrix == 0.0)
-        assert h.cost_scale == pytest.approx(math.e)
 
     def test_expanded_boundary_params_round_off(self):
         # b3 = 1 - 1/3 - 1/3 lands one ulp above fl(1/3), so the expanded
@@ -225,11 +224,11 @@ class TestHessian:
 
     def test_hessian3_validation(self):
         with pytest.raises(ValueError):
-            Hessian3(matrix=np.zeros((2, 2)), cost_scale=1.0)
+            Hessian3(matrix=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             Hessian3(matrix=np.array([[0.0, 1.0, 0.0],
                                       [0.0, 0.0, 0.0],
-                                      [0.0, 0.0, 0.0]]), cost_scale=1.0)
+                                      [0.0, 0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
