@@ -223,6 +223,61 @@ class TestBbDraw:
         np.testing.assert_allclose(one, rows[0], atol=1e-14)
 
 
+class TestCdfRows:
+    """The batched rows themselves, read against their own weights."""
+
+    def test_rubin_right_continuous_values(self):
+        sample = [0.0, 1.0, 2.0]
+        grid = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        rows = _posterior_rows(sample, RUBIN, np.random.default_rng(6), 4, grid)
+        w = sd._weight_rows(3, RUBIN, np.random.default_rng(6), 4)
+        c1, c2 = w[:, 0], w[:, 0] + w[:, 1]
+        expected = np.column_stack([np.zeros(4), c1, c1, c2, c2, np.ones(4), np.ones(4)])
+        np.testing.assert_array_equal(rows, expected)
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_tied_points_accumulate(self, variant):
+        rows = _posterior_rows([1.0, 1.0], variant, np.random.default_rng(7), 50,
+                               np.array([0.999, 1.0]))
+        assert np.all(rows[:, 0] == 0.0)
+        assert np.all(rows[:, 1] == 1.0)
+
+    def test_banks_interior_tie_is_an_atom(self):
+        # the zero-width gap between the tied points carries its weight as
+        # a jump at the tie, so the row is right-continuous there
+        grid = np.array([np.nextafter(1.0, 0.0), 1.0])
+        rows = _posterior_rows([0.0, 1.0, 1.0, 2.0], BANKS, np.random.default_rng(8), 50, grid)
+        w = sd._weight_rows(4, BANKS, np.random.default_rng(8), 50)
+        np.testing.assert_allclose(rows[:, 1], w[:, :3].sum(axis=1), atol=1e-15)
+        np.testing.assert_allclose(rows[:, 1] - rows[:, 0], w[:, 2], atol=1e-15)
+
+    def test_banks_linear_between_order_statistics(self):
+        grid = np.array([0.0, 1.0, np.nextafter(2.0, 0.0)])
+        rows = _posterior_rows([0.0, 2.0], BANKS, np.random.default_rng(9), 50, grid)
+        w = sd._weight_rows(2, BANKS, np.random.default_rng(9), 50)
+        np.testing.assert_allclose(rows[:, 0], w[:, 0], atol=1e-15)
+        np.testing.assert_allclose(rows[:, 1], w[:, 0] + w[:, 1] / 2.0, atol=1e-15)
+        np.testing.assert_allclose(rows[:, 1], (rows[:, 0] + rows[:, 2]) / 2.0, atol=1e-15)
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    @given(k=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2 ** 31))
+    def test_rows_are_monotone_cdfs(self, variant, k, seed):
+        sample = np.random.default_rng(seed).normal(size=k)
+        rows = _posterior_rows(sample, variant, np.random.default_rng(seed), 20,
+                               np.linspace(-3.0, 3.0, 41))
+        assert np.all(np.diff(rows, axis=1) >= -1e-15)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_no_mass_outside_the_sample_range(self, variant):
+        sample = [0.2, 0.5, 0.7]
+        grid = np.array([-1.0, np.nextafter(0.2, 0.0), 0.7, 5.0])
+        rows = _posterior_rows(sample, variant, np.random.default_rng(10), 100, grid)
+        assert np.all(rows[:, :2] == 0.0)
+        assert np.all(rows[:, 2:] == 1.0)
+
+
 # ---------------------------------------------------------------------------
 # dominance posterior
 
@@ -343,6 +398,41 @@ class TestPosteriorProbSd1:
     def test_step_opponent_accepted(self):
         out = posterior_prob_sd1([11.0, 12.0], _step_cdf([1.0, 2.0]), cfg=SdConfig(draws=50))
         assert out.estimate == 1.0
+
+
+def _half_uniform(t):
+    """The Unif(0, 2) reference CDF."""
+    return np.clip(np.asarray(t) / 2.0, 0.0, 1.0)
+
+
+class TestReferenceFunctions:
+    """A reference CDF is read only at the points it is called on."""
+
+    @pytest.mark.parametrize("test", [
+        ks_pvalue_sd1,
+        iu_beta_pvalue_nonsd1,
+        lambda x, f: posterior_prob_sd1(x, f, SdConfig(draws=300, tol=0.02),
+                                        np.random.default_rng(12)).estimate,
+    ], ids=["ks", "iu_beta", "posterior"])
+    def test_rescaled_reference_matches_uniform(self, test):
+        # Unif(0, 2) at 2u reads exactly what Unif(0, 1) reads at u
+        u = np.random.default_rng(13).uniform(0.0, 1.0, 40)
+        assert test(2.0 * u, _half_uniform) == test(u, UNIFORM01)
+
+    def test_ks_reads_reference_at_sample_points(self):
+        assert ks_pvalue_sd1([0.5, 1.0, 1.5, 2.0], _half_uniform) == 1.0
+        # F-hat minus Unif(0, 2) at 0.2, 0.4: 0.4, 0.8, so D+ = 0.8
+        assert ks_pvalue_sd1([0.2, 0.4], _half_uniform) == pytest.approx(
+            math.exp(-2 * 2 * 0.8 ** 2), abs=1e-14)
+
+    def test_step_reference_and_sample_share_d_plus(self):
+        # the opponent sample's empirical CDF as a function gives the same
+        # D+; only the tail formula's scale differs (n against nm/(n+m))
+        x, y = [0.1, 0.35, 0.6, 0.8], [0.3, 0.4, 0.5, 0.9, 0.95]
+        d_ref = math.sqrt(-math.log(ks_pvalue_sd1(x, _step_cdf(y))) / (2 * 4))
+        d_two = math.sqrt(-math.log(ks_pvalue_sd1(x, y)) / (2 * 4 * 5 / 9))
+        assert d_ref == pytest.approx(d_two, abs=1e-12)
+        assert d_ref == pytest.approx(0.4, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
