@@ -624,6 +624,17 @@ SD_TEST_GOLDEN_SHA256 = {
         "bee2f20d0a287b71f7acf740cea2a37a8d17ceabbfca841047572f442103b2d6",
 }
 KLINE_GOLDEN_SHA256 = "23b2b9f1abce706cf0b40ecef49fe2abe5ecd712ffa16db209d1c9545d7222ae"
+# sha256 of the `--format json` stdout of a simulated and an exact limit
+# run and of a small table3, recorded while McSummary still stored mc_se,
+# exact and master_seed beside the estimate and its count
+JSON_GOLDEN_SHA256 = {
+    "limit --region signagree --reps 3000":
+        "0ff6609f89fcfee0c83dbec02ab2fe82381e4333635662d4d6ecc0cb653ede88",
+    "limit --region halfspace:1,1:0 --theta 0.1,0":
+        "0f34d78022a6d11e112a88ff2bb55cf4b9b67a711661027e490133ea2bcecf66",
+    "table3 --reps 4 --sigma-eps 0.1,0.3":
+        "f18b9bd9078b39109af8b4053142f0f95099fbe084c7e09e8e2e1c807e585ff5",
+}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -687,6 +698,14 @@ def test_kline_golden_output(capsys):
     assert main(["--command", "kline"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == KLINE_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("run", sorted(JSON_GOLDEN_SHA256))
+def test_json_golden_output(capsys, run):
+    command, *flags = run.split()
+    assert main(["--command", command, *flags, "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_GOLDEN_SHA256[run]
 
 
 def _stochastic_commands(tmp_path):
