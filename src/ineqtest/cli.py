@@ -120,7 +120,9 @@ class RunConfig:
                         "master seed (default 0)", "U64", default=0)
     reps: int = _option(_COUNT, "Monte Carlo replications", "N")
     draws: int = _option(_COUNT, "posterior draws per test; for table2 a cap per "
-                         "replication, spent in batches of 300 (default 1800)", "N")
+                         "replication, spent in batches of 300 (default 1800); limit "
+                         "spends none, since under its identity covariance every "
+                         "region spec has a closed-form posterior", "N")
     alpha: tuple = _option(_listed(_LEVEL), "comma-separated levels", "LIST")
     out: str = _option(str, "output path (default stdout)", "PATH", hashed=None)
     format: str = _option(_choice(FORMATS), "output format (default csv)", "|".join(FORMATS),

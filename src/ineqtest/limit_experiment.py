@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .distributions import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, run_replications
 
 REJECT = "reject"
 ACCEPT = "accept"
@@ -351,19 +351,17 @@ def posterior_prob_region(region, x, exp: Experiment, draws=2000, rng=None) -> M
     _check_dims(region, x, exp)
     exact = _closed_form_posterior(region, _rows(x), exp)
     if exact is not None:
-        return McSummary(estimate=float(exact[0]), mc_se=0.0, reps=0, master_seed=None,
-                         exact=True)
+        return McSummary(float(exact[0]), 0)
     if isinstance(region, Complement):
         inner = posterior_prob_region(region.inner, x, exp, draws=draws, rng=rng)
-        return replace(inner, estimate=1.0 - inner.estimate)
+        return McSummary(1.0 - inner.estimate, inner.reps)
     if draws < 1:
         raise ValueError("need draws >= 1")
     if rng is None:
         raise ValueError("Monte Carlo branch needs an rng")
     theta_draws = exp.sample(np.atleast_1d(np.asarray(x, dtype=float)), rng, size=draws)
     hits = np.asarray(region.contains(theta_draws), dtype=bool)
-    p = float(hits.mean())
-    return McSummary(estimate=p, mc_se=mc_se(p, draws), reps=int(draws), master_seed=None)
+    return McSummary(float(hits.mean()), int(draws))
 
 
 def kline_orthant_posterior(x) -> float:
@@ -427,7 +425,8 @@ def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws,
                                                    rng=rng).estimate for row in x])
         return post <= alpha
 
-    return run_replications(decide_block, reps, plan, _REPS_PER_BLOCK).summary
+    counts = run_replications(decide_block, reps, plan, _REPS_PER_BLOCK)
+    return McSummary(counts[0] / reps, reps)
 
 
 def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
@@ -443,12 +442,10 @@ def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
     if method not in ("auto", "mc"):
         raise ValueError("method must be 'auto' or 'mc'")
     _check_dims(region, theta, exp)
-    plan = SeedPlan.coerce(master_seed)
     if method == "auto" and isinstance(region, HalfSpace):
-        rp = halfspace_rejection_prob_exact(region, theta, exp, alpha)
-        return McSummary(estimate=rp, mc_se=0.0, reps=0, master_seed=plan.master_seed,
-                         exact=True)
-    return _simulated_rejection(region, theta, exp, alpha, reps, draws, plan)
+        return McSummary(halfspace_rejection_prob_exact(region, theta, exp, alpha), 0)
+    return _simulated_rejection(region, theta, exp, alpha, reps, draws,
+                                SeedPlan.coerce(master_seed))
 
 
 @dataclass(frozen=True)

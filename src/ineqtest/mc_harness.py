@@ -1,11 +1,13 @@
 """Reproducible Monte Carlo replication engine.
 
-Every simulated probability in this package is produced here.  The
+Every simulated rejection rate in this package is counted here.  The
 replications are cut into consecutive blocks of a size fixed by the
 caller; block b consumes only the stream derived from (master_seed, b),
 and the blocks run in order, their counts adding up as exact integer
 sums per column.  Output therefore depends only on the seed and the
-block size.
+block size.  ``run_replications`` returns those counts, and its callers
+report a column as an ``McSummary`` of count / reps over reps; a
+summary with reps 0 is a closed-form value instead.
 
 ``parallel_map`` is the one parallel code path: the cells of a table run
 in forked worker processes, since the kernels' many short numpy calls
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +40,19 @@ def mc_se(p, n):
 
 @dataclass(frozen=True)
 class McSummary:
-    """A probability with its provenance: simulated from ``reps``
-    replications, or computed in closed form (``exact``, with reps 0 and
-    mc_se 0)."""
+    """A probability and the number of replications or draws it was
+    simulated from; reps 0 means it was computed in closed form."""
 
     estimate: float
-    mc_se: float
     reps: int
-    master_seed: int
-    exact: bool = field(default=False, kw_only=True)
 
-    def __post_init__(self):
-        if not self.exact and self.reps < 1:
-            raise ValueError("reps must be >= 1")
+    @property
+    def exact(self) -> bool:
+        return self.reps == 0
+
+    @property
+    def mc_se(self) -> float:
+        return 0.0 if self.exact else mc_se(self.estimate, self.reps)
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,6 @@ class SeedPlan:
 
     def subplan(self, *ids) -> "SeedPlan":
         return SeedPlan(self.master_seed, self.prefix + tuple(int(i) for i in ids))
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """``summary`` describes indicator column 0 and ``counts`` holds the
-    exact count of every column."""
-
-    summary: McSummary
-    counts: tuple
 
 
 class ReplicationError(RuntimeError):
@@ -162,17 +155,18 @@ def _indicator_rows(value, rows):
     return arr.astype(np.int64)
 
 
-def run_replications(task, reps, seed_plan: SeedPlan, block_size) -> RunReport:
-    """Runs a block task over indices range(reps) and averages.
+def run_replications(task, reps, seed_plan: SeedPlan, block_size) -> tuple:
+    """Runs a block task over indices range(reps) and counts its indicators.
 
     Block b holds indices [b * block_size, min((b + 1) * block_size, reps))
     and ``task(indices, rng)`` runs once per block, in block order, on
     ``seed_plan.stream(b)``.  It returns one row of 0/1 indicators per
     index: an int array of shape (rows,) or (rows, k), with the same shape
-    after the rows as block 0's.  The counts are exact integer sums, and
-    ``block_size``, which callers hold as a constant, decides which stream
-    a replication reads.  A failing block raises ReplicationError with the
-    block's first index; the blocks after it do not run.
+    after the rows as block 0's.  Returns the tuple of exact integer counts,
+    one per column; ``McSummary(counts[0] / reps, reps)`` is column 0's
+    rate.  ``block_size``, which callers hold as a constant, decides which
+    stream a replication reads.  A failing block raises ReplicationError
+    with the block's first index; the blocks after it do not run.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
@@ -190,8 +184,4 @@ def run_replications(task, reps, seed_plan: SeedPlan, block_size) -> RunReport:
             raise ReplicationError(first, exc) from exc
         counts = counts + rows.reshape(indices.size, -1).sum(axis=0)
 
-    counts = tuple(int(c) for c in counts)
-    estimate = counts[0] / reps
-    summary = McSummary(estimate=estimate, mc_se=mc_se(estimate, reps),
-                        reps=reps, master_seed=seed_plan.master_seed)
-    return RunReport(summary=summary, counts=counts)
+    return tuple(int(c) for c in counts)

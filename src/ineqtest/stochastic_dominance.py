@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import (beta_cdf, beta_quantile, dirichlet_flat_sample,
                             std_normal_cdf)
-from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, run_replications
 
 RUBIN = "rubin"
 BANKS = "banks"
@@ -306,8 +306,7 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     x = _sorted_sample(x_sample)
     ref, ys = _as_opponent(opponent)
     count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rx, ry)
-    p = count / cfg.draws
-    return McSummary(estimate=p, mc_se=mc_se(p, cfg.draws), reps=cfg.draws, master_seed=None)
+    return McSummary(count / cfg.draws, cfg.draws)
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +608,11 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     independent Unif(0, 1) sample of the same size (two-sample).
 
     null="sd1" tests the null that X dominates; null="non_sd1" tests the
-    null that it does not.  method is "ks", "iu_beta", "dd", "iu_maxt", or
-    "bayes"; the Bayesian test rejects when the posterior probability of
-    the null is <= alpha (for null="non_sd1" that probability is one minus
-    the dominance posterior, computed from the same draws).  The dd test
+    null that it does not.  method is "ks" (for null "sd1"), "iu_beta",
+    "dd", "iu_maxt" (for null "non_sd1"), or "bayes" (for either); the
+    Bayesian test rejects when the posterior probability of the null is
+    <= alpha (for null="non_sd1" that probability is one minus the
+    dominance posterior, computed from the same draws).  The dd test
     passes alpha to dd_pvalue_nonsd1, whose bootstrap stops once p > alpha
     is certain; the decision is that of the full p-value.
 
@@ -636,9 +636,12 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     check_alpha(alpha)
     if null not in ("sd1", "non_sd1"):
         raise ValueError("null must be 'sd1' or 'non_sd1'")
-    valid = {"ks", "iu_beta", "dd", "iu_maxt", "bayes"}
-    if method not in valid:
-        raise ValueError(f"method must be one of {sorted(valid)}")
+    nulls = {"ks": "sd1", "iu_beta": "non_sd1", "dd": "non_sd1", "iu_maxt": "non_sd1",
+             "bayes": null}
+    if method not in nulls:
+        raise ValueError(f"method must be one of {sorted(nulls)}")
+    if nulls[method] != null:
+        raise ValueError(f"{method} tests the null {nulls[method]!r}, not {null!r}")
     if method == "iu_beta" and two_sample:
         raise ValueError("iu_beta is a one-sample test")
     if method in ("dd", "iu_maxt") and not two_sample:
@@ -679,4 +682,5 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
             p = iu_maxt_pvalue_nonsd1(x, y)
         return [p <= alpha]
 
-    return run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1).summary
+    counts = run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1)
+    return McSummary(counts[0] / reps, reps)

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .distributions import dirichlet_flat_sample
-from .mc_harness import McSummary, SeedPlan, check_alpha, mc_se, run_replications
+from .mc_harness import McSummary, SeedPlan, check_alpha, run_replications
 
 NSD_TOL = 1e-7
 
@@ -250,14 +250,15 @@ class TranslogDgp:
     ln y and the three ln w_k are iid N(0, sigma_x^2), mutually
     independent; the response is the normalized regression evaluated at
     the benchmark coefficients (curvature slack ``delta``) plus
-    N(0, sigma_eps^2) noise.
+    N(0, sigma_eps^2) noise.  ``free`` holds those coefficients,
+    default_free_params(delta), and is not an init argument.
     """
 
     delta: float = 0.001
     sigma_x: float = 3.6
     sigma_eps: float = 0.5
     n: int = 100
-    free: FreeParams = None
+    free: FreeParams = field(init=False)
 
     def __post_init__(self):
         # fewer observations than the design's 10 columns leave every fit
@@ -266,8 +267,7 @@ class TranslogDgp:
             raise ValueError(f"need n >= 10 observations, got {self.n}")
         if self.sigma_x < 0 or self.sigma_eps < 0:
             raise ValueError("sds must be nonnegative")
-        if self.free is None:
-            object.__setattr__(self, "free", default_free_params(self.delta))
+        object.__setattr__(self, "free", default_free_params(self.delta))
 
 
 @dataclass(frozen=True)
@@ -435,9 +435,7 @@ def posterior_prob_nsd(data: TranslogData, draws=200, rng=None) -> NsdPosterior:
     if rng is None:
         rng = SeedPlan(0).stream(0)
     rows, redraws = _posterior_free_rows(data, draws, rng)
-    p = float(_nsd_flags_from_free(rows).mean())
-    return NsdPosterior(estimate=p, mc_se=mc_se(p, draws), reps=draws, master_seed=None,
-                        redraws=redraws)
+    return NsdPosterior(float(_nsd_flags_from_free(rows).mean()), draws, redraws)
 
 
 @dataclass(frozen=True)
@@ -462,7 +460,6 @@ def type1_error_sim(dgp: TranslogDgp, alpha, reps=500, draws=200,
         post = posterior_prob_nsd(data, draws=draws, rng=rng)
         return [[post.estimate <= alpha, monotone_at_unit(ols_fit(data)), post.redraws > 0]]
 
-    report = run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1)
-    return Type1Result(rejection=report.summary,
-                       monotonicity_rate=report.counts[1] / reps,
-                       redrawn_reps=report.counts[2])
+    counts = run_replications(one_rep, reps, SeedPlan.coerce(master_seed), 1)
+    return Type1Result(rejection=McSummary(counts[0] / reps, reps),
+                       monotonicity_rate=counts[1] / reps, redrawn_reps=counts[2])

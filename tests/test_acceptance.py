@@ -6,7 +6,6 @@ values appear as literals next to the tolerance they are held to; Monte
 Carlo margins use the binomial standard error of the estimate itself.
 """
 
-import math
 import time
 
 import numpy as np
@@ -44,7 +43,6 @@ from ineqtest.stochastic_dominance import (
 )
 from ineqtest.translog import (
     FreeParams,
-    default_free_params,
     expand_params,
     hessian,
     is_nsd,

@@ -741,7 +741,7 @@ def test_table2_draws_cap_spent_in_batches(monkeypatch, capsys):
 
     def at_alpha(x_sample, opponent, cfg=sd.SdConfig(), rng=None):
         calls.append(cfg.draws)
-        return McSummary(estimate=0.5, mc_se=0.0, reps=cfg.draws, master_seed=None)
+        return McSummary(0.5, cfg.draws)
 
     monkeypatch.setattr(sd, "posterior_prob_sd1", at_alpha)
     assert main(["--command", "table2", "--reps", "2", "--n", "20", "--h", "0",

@@ -300,6 +300,15 @@ class TestRegionPosterior:
         with pytest.raises(ValueError):
             posterior_prob_region(box, np.zeros(3), exp)
 
+    def test_mc_branch_refuses_zero_draws(self):
+        # a zero count would read as a closed-form summary
+        box = Box.orthant(3)
+        exp = Experiment(cov=CovarianceMatrix.from_correlation(0.3, d=3))
+        for region in (box, Complement(inner=box)):
+            with pytest.raises(ValueError, match="draws"):
+                posterior_prob_region(region, np.zeros(3), exp, draws=0,
+                                      rng=np.random.default_rng(0))
+
     def test_complement_of_closed_form_is_exact(self):
         iu = IntervalUnion(intervals=((-1.0, 0.0),))
         exp = Experiment.scalar()
@@ -562,7 +571,6 @@ class TestRejectionProbability:
                                     master_seed=9)
         assert out.mc_se == 0.0
         assert out.estimate == pytest.approx(0.05, abs=1e-12)
-        assert out.master_seed == 9
         assert out.exact and out.reps == 0
 
     def test_mc_agrees_with_exact_for_halfspace(self):

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -112,18 +113,17 @@ class TestSeedPlan:
 
 
 class TestMcSummary:
-    def test_rejects_zero_reps(self):
-        with pytest.raises(ValueError):
-            McSummary(estimate=0.5, mc_se=0.1, reps=0, master_seed=0)
+    def test_stores_only_estimate_and_reps(self):
+        assert [f.name for f in fields(McSummary)] == ["estimate", "reps"]
 
     def test_exact_summary_carries_no_reps(self):
-        s = McSummary(estimate=0.05, mc_se=0.0, reps=0, master_seed=None, exact=True)
-        assert s.exact and s.reps == 0
-        assert not McSummary(estimate=0.5, mc_se=0.1, reps=10, master_seed=None).exact
+        s = McSummary(0.05, 0)
+        assert s.exact and s.mc_se == 0.0
+        assert not McSummary(0.5, 10).exact
 
-    def test_allows_missing_master_seed(self):
-        s = McSummary(estimate=0.5, mc_se=0.1, reps=10, master_seed=None)
-        assert s.master_seed is None
+    @pytest.mark.parametrize("estimate, reps", [(0.5, 10), (0.0, 3), (1 / 3, 300)])
+    def test_mc_se_is_the_binomial_standard_error(self, estimate, reps):
+        assert McSummary(estimate, reps).mc_se == mc_se(estimate, reps)
 
 
 class TestRunReplications:
@@ -131,20 +131,16 @@ class TestRunReplications:
     tables' tasks."""
 
     def test_constant_true_task(self):
-        report = run_replications(lambda indices, rng: [1], 100, SeedPlan(0), 1)
-        assert report.summary.estimate == 1.0
-        assert report.summary.mc_se == 0.0
-        assert report.summary.reps == 100
+        assert run_replications(lambda indices, rng: [1], 100, SeedPlan(0), 1) == (100,)
 
     def test_fair_coin_binomial_bound(self):
-        report = run_replications(lambda indices, rng: [rng.random() < 0.5], 10_000,
+        counts = run_replications(lambda indices, rng: [rng.random() < 0.5], 10_000,
                                   SeedPlan(3), 1)
-        assert abs(report.summary.estimate - 0.5) < 0.015
+        assert abs(counts[0] / 10_000 - 0.5) < 0.015
 
-    def test_estimate_is_exact_indicator_mean(self):
-        report = run_replications(lambda indices, rng: indices % 3 == 0, 300, SeedPlan(0), 1)
-        assert report.counts == (100,)
-        assert report.summary.estimate == 100 / 300
+    def test_counts_are_exact_indicator_sums(self):
+        counts = run_replications(lambda indices, rng: indices % 3 == 0, 300, SeedPlan(0), 1)
+        assert counts == (100,)
 
     def test_failure_reports_replication_index(self):
         def task(indices, rng):
@@ -176,8 +172,7 @@ class TestRunReplications:
             run_replications(lambda indices, rng: [0.5], 10, SeedPlan(0), 1)
 
     def test_bool_returns_allowed(self):
-        report = run_replications(lambda indices, rng: [True], 10, SeedPlan(0), 1)
-        assert report.summary.estimate == 1.0
+        assert run_replications(lambda indices, rng: [True], 10, SeedPlan(0), 1) == (10,)
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
@@ -194,8 +189,7 @@ class TestBlocks:
             seen[int(indices[0])] = (indices.tolist(), rng.random())
             return np.zeros(indices.size, dtype=int)
 
-        report = run_replications(task, 10, SeedPlan(4), block_size=4)
-        assert report.summary.reps == 10
+        assert run_replications(task, 10, SeedPlan(4), block_size=4) == (0,)
         assert sorted(seen) == [0, 4, 8]
         for b, first in enumerate((0, 4, 8)):
             indices, draw = seen[first]
@@ -206,10 +200,9 @@ class TestBlocks:
         def task(indices, rng):
             return np.column_stack([indices % 2 == 0, indices % 3 == 0])
 
-        report = run_replications(task, 30, SeedPlan(0), block_size=7)
-        assert report.counts == (15, 10)
-        assert all(type(c) is int for c in report.counts)
-        assert report.summary.estimate == 0.5
+        counts = run_replications(task, 30, SeedPlan(0), block_size=7)
+        assert counts == (15, 10)
+        assert all(type(c) is int for c in counts)
 
     def test_lowest_failing_block_wins(self):
         def task(indices, rng):

@@ -1042,6 +1042,11 @@ class TestSdRejectionProbability:
             sd_rejection_probability(0.0, 20, False, "non_sd1", "dd", 0.1, 10)
         with pytest.raises(ValueError):
             sd_rejection_probability(0.0, 20, False, "non_sd1", "iu_maxt", 0.1, 10)
+        # a frequentist test of the other null
+        for args in [(1.0, 20, True, "sd1", "dd"), (1.0, 20, False, "sd1", "iu_beta"),
+                     (1.0, 20, True, "sd1", "iu_maxt"), (0.0, 20, False, "non_sd1", "ks")]:
+            with pytest.raises(ValueError, match="tests the null"):
+                sd_rejection_probability(*args, 0.1, 10)
 
     def test_ks_smoke_reproducible(self):
         a = sd_rejection_probability(0.0, 25, False, "sd1", "ks", 0.1, 80,
@@ -1117,8 +1122,7 @@ class TestTopupRule:
             calls.append(cfg.draws)
             k = null_counts[min(batch, len(null_counts) - 1)]
             count = k if null == "sd1" else cfg.draws - k
-            return McSummary(estimate=count / cfg.draws, mc_se=0.0, reps=cfg.draws,
-                             master_seed=None)
+            return McSummary(count / cfg.draws, cfg.draws)
 
         monkeypatch.setattr(sd, "posterior_prob_sd1", fake)
         out = sd_rejection_probability(0.0, 20, False, null, "bayes", 0.1, reps=reps,

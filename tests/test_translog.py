@@ -333,11 +333,8 @@ class TestTranslogDgp:
     def test_free_defaults_follow_delta(self):
         dgp = TranslogDgp(delta=0.005)
         assert dgp.free == default_free_params(0.005)
-
-    def test_explicit_free_kept(self):
-        free = default_free_params(0.0)
-        dgp = TranslogDgp(delta=0.01, free=free)
-        assert dgp.free == free
+        with pytest.raises(TypeError):
+            TranslogDgp(delta=0.01, free=default_free_params(0.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -597,10 +594,9 @@ class TestType1ErrorSim:
         assert out.monotonicity_rate == 1.0
         assert out.redrawn_reps == 0
 
-    def test_seed_recorded_and_plan_accepted(self):
+    def test_plan_accepted_as_seed(self):
         dgp = TranslogDgp(sigma_eps=0.0, n=60)
         out = type1_error_sim(dgp, alpha=0.05, reps=5, draws=20, master_seed=77)
-        assert out.rejection.master_seed == 77
         via_plan = type1_error_sim(dgp, alpha=0.05, reps=5, draws=20,
                                    master_seed=SeedPlan(77))
         assert via_plan.rejection.estimate == out.rejection.estimate
