@@ -2,9 +2,10 @@
 dominance / limit-experiment tests, emitting CSV or JSON.
 
 Config files are flat ``key=value`` text (comma-separated lists, ``#``
-comments); command-line flags override file values.  Every emitted row
-carries the master seed and a hash of the resolved experiment config, and
-float results appear twice: rounded to 3 decimals and at full precision.
+comments); command-line flags override file values.  Each command reads
+only its own options and refuses the rest.  Every emitted row carries the
+master seed and a hash of the experiment config as given, and float
+results appear twice: rounded to 3 decimals and at full precision.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields
-from functools import partial
+import warnings
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -34,7 +36,24 @@ from .stochastic_dominance import (BANKS, RUBIN, SdConfig, UNIFORM01,
                                    sd_rejection_probability)
 from .translog import TranslogDgp, type1_error_sim
 
-COMMANDS = ("table1", "table2", "table3", "kline", "sd-test", "limit")
+# Every command reads the common fields.  _READS maps each command to the
+# other fields it reads, each with the value it takes there when unset
+# (None: the command requires it or works it out).  A run that sets any
+# other field is refused.
+_COMMON = ("command", "seed", "out", "format", "workers")
+_SD = dict(draws=SdConfig.draws, bootstrap=SdConfig.bootstrap, dd_boot=SdConfig.dd_boot)
+_READS = {
+    "table1": dict(n=(100, 1000), h=(0.0, 0.5, 0.9), **_SD),
+    "table2": dict(n=(100, 1000), h=(0.0, 0.9, 1.3), alpha=(0.1,), reps=1000, draws=1800,
+                   bootstrap=SdConfig.bootstrap, dd_boot=199),
+    "table3": dict(sigma_eps=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5), alpha=(0.05, 0.1), reps=500,
+                   draws=200, n=(TranslogDgp.n,), delta=TranslogDgp.delta,
+                   sigma_x=TranslogDgp.sigma_x),
+    "kline": dict(n=(10, 25, 90)),
+    "sd-test": dict(x_file=None, y_file=None, **_SD),
+    "limit": dict(region=None, theta=None, alpha=(0.05,), reps=10_000),
+}
+COMMANDS = tuple(_READS)
 FORMATS = ("csv", "json")
 
 EXIT_OK = 0
@@ -108,41 +127,36 @@ def _option(parse, help, metavar, default=None, hashed=repr):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one CLI invocation, and the one table of them:
+    """Options for one CLI invocation, and the one table of them:
     each field's flag (--name with - for _), config-file key, parser and
-    place in config_hash come from its metadata.  Unset fields stay None
-    and fall back to per-command defaults.  Hashed fields enter
+    place in config_hash come from its metadata.  Unset fields stay None;
+    each command fills them from _READS.  Hashed fields enter
     config_hash in field order, so reordering them changes every hash."""
 
     command: str = _option(_choice(COMMANDS), "what to run (required here or in the "
                            "config file)", "|".join(COMMANDS))
     seed: int = _option(_scalar(int, lambda v: v >= 0, "a nonnegative integer"),
-                        "master seed (default 0)", "U64", default=0)
+                        "master seed", "U64", default=0)
     reps: int = _option(_COUNT, "Monte Carlo replications", "N")
     draws: int = _option(_COUNT, "posterior draws per test; for table2 a cap per "
-                         "replication, spent in batches of 300 (default 1800); limit "
-                         "spends none, since under its identity covariance every "
-                         "region spec has a closed-form posterior", "N")
+                         "replication, spent in batches of 300", "N")
     alpha: tuple = _option(_listed(_LEVEL), "comma-separated levels", "LIST")
-    out: str = _option(str, "output path (default stdout)", "PATH", hashed=None)
-    format: str = _option(_choice(FORMATS), "output format (default csv)", "|".join(FORMATS),
+    out: str = _option(str, "output path; stdout when unset", "PATH", hashed=None)
+    format: str = _option(_choice(FORMATS), "output format", "|".join(FORMATS),
                           default="csv", hashed=None)
-    bootstrap: str = _option(_choice((RUBIN, BANKS)),
-                             "bootstrap posterior variant (default banks)", f"{RUBIN}|{BANKS}")
+    bootstrap: str = _option(_choice((RUBIN, BANKS)), "posterior bootstrap", f"{RUBIN}|{BANKS}")
     h: tuple = _option(_listed(_NONNEG), "local shift values", "LIST")
-    n: tuple = _option(_listed(_COUNT), "sample sizes (kline: dimensions)", "LIST")
-    sigma_eps: tuple = _option(_listed(_NONNEG), "table3 error sds", "LIST")
-    sigma_x: float = _option(_NONNEG, "table3 regressor log sd override", "R")
-    delta: float = _option(_REAL, "table3 curvature slack", "R")
-    region: str = _option(_region_spec, "null region (limit command)", "SPEC")
-    theta: tuple = _option(_listed(_REAL), "parameter point (limit command)", "LIST")
+    n: tuple = _option(_listed(_COUNT), "sample sizes (table3: one; kline: dimensions)", "LIST")
+    sigma_eps: tuple = _option(_listed(_NONNEG), "error sds", "LIST")
+    sigma_x: float = _option(_NONNEG, "regressor log sd", "R")
+    delta: float = _option(_REAL, "curvature slack", "R")
+    region: str = _option(_region_spec, "null region", "SPEC")
+    theta: tuple = _option(_listed(_REAL), "parameter point; the origin when unset", "LIST")
     workers: int = _option(_COUNT, "worker processes; only a table's cells run in "
-                           "parallel (default 1)", "N", default=1, hashed=None)
+                           "parallel", "N", default=1, hashed=None)
     dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
-    x_file: str = _option(str, "newline-delimited sample for sd-test", "PATH",
-                          hashed=_file_digest)
-    y_file: str = _option(str, "second sample for sd-test (optional)", "PATH",
-                          hashed=_file_digest)
+    x_file: str = _option(str, "newline-delimited sample", "PATH", hashed=_file_digest)
+    y_file: str = _option(str, "optional second sample", "PATH", hashed=_file_digest)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -206,6 +220,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache   # built once per process: parsing leaves the parser unchanged
 def build_arg_parser():
     schema_doc = """\
 CSV schemas (columns never reordered; every float column X is followed by
@@ -225,11 +240,11 @@ Region spec grammar:
   signagree                theta1 * theta2 >= 0 (two-dimensional)
   complement(<spec>)       complement of any of the above
 
-Config files are flat key=value lines (comma-separated lists, # comments);
-keys match the long flag names with - replaced by _.  Flags override file
-values.  config_hash covers the experiment-defining fields only, so output
-bytes are invariant to --workers, --out, and --format; sample files enter it
-by their bytes, not their paths.
+Brackets list the commands that read a flag, with its value there when unset;
+any other command refuses the flag and its config-file key.  Config files are
+flat key=value lines (comma-separated lists, # comments) keyed by the long
+flag names with - as _; flags override them.  config_hash covers the fields
+a run sets as given, except --workers, --out and --format, and files by content.
 """
     parser = _ArgumentParser(
         prog="ineqtest",
@@ -239,9 +254,19 @@ by their bytes, not their paths.
     )
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     for f in _FIELDS.values():
+        # a common field's one default, else each command that reads the
+        # field, with the field's value there when unset
+        unset = [_flag_text(f.name, f.default)] if f.default is not None else [
+            cmd if table[f.name] is None else f"{cmd} {_flag_text(f.name, table[f.name])}"
+            for cmd, table in _READS.items() if f.name in table]
         parser.add_argument(_flag(f.name), metavar=f.metadata["metavar"],
-                            help=f.metadata["help"])
+                            help=f.metadata["help"] + (f" [{', '.join(unset)}]" if unset else ""))
     return parser
+
+
+def _flag_text(name, value):
+    """A field's flag and its value as typed after it."""
+    return f"{_flag(name)} {','.join(map(str, value)) if isinstance(value, tuple) else value}"
 
 
 def resolve_config(argv) -> RunConfig:
@@ -256,7 +281,14 @@ def resolve_config(argv) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.command is None:
         raise ConfigError("command required (use --command or a config file)")
+    if unread := [_flag(name) for name in values if name not in (*_COMMON, *_READS[cfg.command])]:
+        raise ConfigError(f"{cfg.command} does not read {', '.join(unread)}")
     return cfg
+
+
+def _with_defaults(cfg):
+    """cfg with each unset field its command reads at the command's default."""
+    return replace(cfg, **{k: v for k, v in _READS[cfg.command].items() if vars(cfg)[k] is None})
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +427,9 @@ def emit_table(result: TableResult, cfg: RunConfig):
 
 def _load_sample(path):
     try:
-        data = np.loadtxt(path, ndmin=1, dtype=float)
+        # numpy warns of an empty file, which is refused below as a config error
+        with warnings.catch_warnings(action="ignore", category=UserWarning):
+            data = np.loadtxt(path, ndmin=1, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
     except ValueError as exc:
@@ -410,12 +444,10 @@ def _load_sample(path):
 def cmd_table1(cfg: RunConfig) -> TableResult:
     from .stochastic_dominance import fixed_design_sample
 
-    ns = cfg.n or (100, 1000)
-    if min(ns) < 2:
-        raise ConfigError(f"table1 needs n >= 2 points per sample, got {min(ns)}")
-    hs = cfg.h or (0.0, 0.5, 0.9)
-    sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
-                      dd_boot=cfg.dd_boot or 999)
+    cfg = _with_defaults(cfg)
+    if min(cfg.n) < 2:
+        raise ConfigError(f"table1 needs n >= 2 points per sample, got {min(cfg.n)}")
+    sd_cfg = SdConfig(draws=cfg.draws, bootstrap=cfg.bootstrap, dd_boot=cfg.dd_boot)
     plan = SeedPlan(cfg.seed)
     rows, jobs = [], []
 
@@ -432,13 +464,13 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
         rows.append(dict(h0=h0, n=n, h=h, comparison=comparison, method=method))
         jobs.append(partial(job, *args))
 
-    for ni, n in enumerate(ns):
+    for ni, n in enumerate(cfg.n):
         x0, y0 = fixed_design_sample(n, 0.0)
         add("sd1", n, 0.0, "one_sample", "ks", ks_pvalue_sd1, x0, UNIFORM01)
         add("sd1", n, 0.0, "one_sample", "bayes", post, x0, UNIFORM01, (ni, 0, 0))
         add("sd1", n, 0.0, "two_sample", "ks", ks_pvalue_sd1, x0, y0)
         add("sd1", n, 0.0, "two_sample", "bayes", post, x0, y0, (ni, 0, 1))
-        for hi, h in enumerate(hs):
+        for hi, h in enumerate(cfg.h):
             x, y = fixed_design_sample(n, h)
             add("non_sd1", n, h, "one_sample", "iu_beta", iu_beta_pvalue_nonsd1, x)
             add("non_sd1", n, h, "one_sample", "bayes", non_post, x, UNIFORM01, (ni, 1 + hi, 0))
@@ -453,29 +485,25 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
 
 
 def cmd_table2(cfg: RunConfig) -> TableResult:
-    ns = cfg.n or (100, 1000)
-    hs = cfg.h or (0.0, 0.9, 1.3)
-    alphas = cfg.alpha or (0.1,)
-    reps = cfg.reps or 1000
-    sd_cfg = SdConfig(draws=cfg.draws or 1800, bootstrap=cfg.bootstrap or BANKS,
-                      dd_boot=cfg.dd_boot or 199)
+    cfg = _with_defaults(cfg)
+    sd_cfg = SdConfig(draws=cfg.draws, bootstrap=cfg.bootstrap, dd_boot=cfg.dd_boot)
     plan = SeedPlan(cfg.seed)
     rows, jobs = [], []
     cell = 0
-    for n in ns:
+    for n in cfg.n:
         cells = [("sd1", 0.0, False, "ks"), ("sd1", 0.0, False, "bayes"),
                  ("sd1", 0.0, True, "ks"), ("sd1", 0.0, True, "bayes")]
-        cells += [("non_sd1", h, two, m) for h in hs
+        cells += [("non_sd1", h, two, m) for h in cfg.h
                   for two, m in ((False, "iu_beta"), (False, "bayes"),
                                  (True, "dd"), (True, "bayes"))]
         for null, h, two_sample, method in cells:
-            for ai, alpha in enumerate(alphas):
+            for ai, alpha in enumerate(cfg.alpha):
                 jobs.append(partial(
-                    sd_rejection_probability, h, n, two_sample, null, method, alpha, reps,
+                    sd_rejection_probability, h, n, two_sample, null, method, alpha, cfg.reps,
                     cfg=sd_cfg, master_seed=plan.subplan(cell, ai)))
                 rows.append(dict(h0=null, n=n, h=h,
                                  comparison="two_sample" if two_sample else "one_sample",
-                                 method=method, alpha=alpha, reps=reps))
+                                 method=method, alpha=alpha, reps=cfg.reps))
             cell += 1
     for row, summary in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=summary.estimate, mc_se=summary.mc_se)
@@ -485,28 +513,21 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
 
 
 def cmd_table3(cfg: RunConfig) -> TableResult:
-    sigmas = cfg.sigma_eps or (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    alphas = cfg.alpha or (0.05, 0.1)
-    reps = cfg.reps or 500
-    draws = cfg.draws or 200
-    n, *more = cfg.n or (100,)
+    cfg = _with_defaults(cfg)
+    n, *more = cfg.n
     if more:
         raise ConfigError("table3 takes a single --n")
-    delta = 0.001 if cfg.delta is None else cfg.delta
     plan = SeedPlan(cfg.seed)
     rows, jobs = [], []
-    for si, s_eps in enumerate(sigmas):
-        kwargs = dict(delta=delta, sigma_eps=s_eps, n=n)
-        if cfg.sigma_x is not None:
-            kwargs["sigma_x"] = cfg.sigma_x
+    for si, s_eps in enumerate(cfg.sigma_eps):
         try:
-            dgp = TranslogDgp(**kwargs)
+            dgp = TranslogDgp(delta=cfg.delta, sigma_x=cfg.sigma_x, sigma_eps=s_eps, n=n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for ai, alpha in enumerate(alphas):
-            jobs.append(partial(type1_error_sim, dgp, alpha, reps=reps, draws=draws,
+        for ai, alpha in enumerate(cfg.alpha):
+            jobs.append(partial(type1_error_sim, dgp, alpha, reps=cfg.reps, draws=cfg.draws,
                                 master_seed=plan.subplan(si, ai)))
-            rows.append(dict(sigma_eps=s_eps, alpha=alpha, reps=reps, draws=draws))
+            rows.append(dict(sigma_eps=s_eps, alpha=alpha, reps=cfg.reps, draws=cfg.draws))
     for row, res in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=res.rejection.estimate, mc_se=res.rejection.mc_se,
                    monotonicity_rate=res.monotonicity_rate)
@@ -516,22 +537,22 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
 
 
 def cmd_kline(cfg: RunConfig) -> TableResult:
-    dims = cfg.n or (10, 25, 90)
+    cfg = _with_defaults(cfg)
     xq = std_normal_quantile(0.95)
     rows = [dict(d=d, x_coordinate=xq,
                  posterior=kline_orthant_posterior(np.full(d, xq)))
-            for d in dims]
+            for d in cfg.n]
     return TableResult(key_columns=("d",),
                        float_columns=("x_coordinate", "posterior"),
                        rows=tuple(rows))
 
 
 def cmd_sd_test(cfg: RunConfig) -> TableResult:
+    cfg = _with_defaults(cfg)
     if cfg.x_file is None:
         raise ConfigError("sd-test requires --x-file")
     x = _load_sample(cfg.x_file)
-    sd_cfg = SdConfig(draws=cfg.draws or 2000, bootstrap=cfg.bootstrap or BANKS,
-                      dd_boot=cfg.dd_boot or 999)
+    sd_cfg = SdConfig(draws=cfg.draws, bootstrap=cfg.bootstrap, dd_boot=cfg.dd_boot)
     plan = SeedPlan(cfg.seed)
     if cfg.y_file is None:
         comparison = "one_sample"
@@ -560,24 +581,24 @@ def cmd_sd_test(cfg: RunConfig) -> TableResult:
 
 
 def cmd_limit(cfg: RunConfig) -> TableResult:
+    cfg = _with_defaults(cfg)
     if cfg.region is None:
         raise ConfigError("limit requires --region")
     region = parse_region(cfg.region)
-    theta = cfg.theta if cfg.theta is not None else tuple([0.0] * region.dim)
+    theta = cfg.theta or (0.0,) * region.dim
     if len(theta) != region.dim:
         raise ConfigError(f"theta has {len(theta)} coordinates, region needs {region.dim}")
-    alphas = cfg.alpha or (0.05,)
-    reps = cfg.reps or 10_000
-    draws = cfg.draws or 2000
     exp = Experiment.identity(len(theta))
     plan = SeedPlan(cfg.seed)
+    # every region spec has a closed-form posterior under the identity
+    # covariance, so no posterior draws are spent
     jobs = [partial(rejection_probability, region, np.asarray(theta), exp, alpha,
-                    reps=reps, draws=draws, master_seed=plan.subplan(ai))
-            for ai, alpha in enumerate(alphas)]
+                    reps=cfg.reps, master_seed=plan.subplan(ai))
+            for ai, alpha in enumerate(cfg.alpha)]
     rows = [dict(region=cfg.region, theta=theta, alpha=alpha,
                  method="exact" if summary.exact else "mc",
                  value=summary.estimate, mc_se=summary.mc_se)
-            for alpha, summary in zip(alphas, parallel_map(jobs, cfg.workers))]
+            for alpha, summary in zip(cfg.alpha, parallel_map(jobs, cfg.workers))]
     return TableResult(key_columns=("region", "theta", "alpha", "method"),
                        float_columns=("value", "mc_se"), rows=tuple(rows))
 

@@ -8,6 +8,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -167,9 +168,9 @@ class TestResolveConfig:
 
     def test_alpha_range_validated(self):
         with pytest.raises(ConfigError, match="alpha"):
-            resolve_config(["--command", "kline", "--alpha", "1.5"])
+            resolve_config(["--command", "table2", "--alpha", "1.5"])
         with pytest.raises(ConfigError):
-            resolve_config(["--command", "kline", "--alpha", "0.05,0"])
+            resolve_config(["--command", "table2", "--alpha", "0.05,0"])
 
     def test_positive_counts_validated(self):
         with pytest.raises(ConfigError, match="reps"):
@@ -210,6 +211,80 @@ class TestFieldTable:
         hashed = [f.name for f in fields(RunConfig) if f.metadata["hashed"]]
         assert len(names) == 19
         assert hashed == [n for n in names if n not in ("out", "format", "workers")]
+
+    def test_command_table_is_consistent(self):
+        names = {f.name for f in fields(RunConfig)}
+        assert set(cli._COMMON) <= names
+        read = set().union(*cli._READS.values())
+        assert read <= names
+        assert read.isdisjoint(cli._COMMON)
+        assert read == names - set(cli._COMMON)   # every field is read by some command
+        assert cli.COMMANDS == tuple(cli._READS) == tuple(cli._DISPATCH)
+        assert sum(len(cli._COMMON) + len(table) for table in cli._READS.values()) == 59
+        assert len(_UNREAD) == 114 - 59
+
+
+# a valid flag value for every field beyond the common ones
+_UNREAD_VALUES = dict(reps="1", draws="1", alpha="0.1", bootstrap="banks", h="0.5", n="10",
+                      sigma_eps="0.1", sigma_x="1", delta="0.01", region="signagree",
+                      theta="0,0", dd_boot="9", x_file="x.txt", y_file="y.txt")
+_UNREAD = [(command, name) for command in cli.COMMANDS for name in _UNREAD_VALUES
+           if name not in cli._READS[command]]
+
+
+class TestCommandFields:
+    @pytest.mark.parametrize("command,name", _UNREAD)
+    def test_unread_flag_is_refused(self, capsys, command, name):
+        flag = "--" + name.replace("_", "-")
+        assert main(["--command", command, flag, _UNREAD_VALUES[name]]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"config error: {command} does not read {flag}\n"
+
+    def test_unread_config_key_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("command = limit\nregion = signagree\nreps = 100\ndraws = 5\n")
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "config error: limit does not read --draws\n"
+
+    def test_read_fields_are_accepted(self):
+        for command, table in cli._READS.items():
+            argv = ["--command", command]
+            for name in table:
+                argv += ["--" + name.replace("_", "-"), _UNREAD_VALUES[name]]
+            assert resolve_config(argv).command == command
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_defaults_fill_only_unset_fields(self, command):
+        table = cli._READS[command]
+        filled = cli._with_defaults(RunConfig(command=command))
+        assert {name: getattr(filled, name) for name in table} == table
+        unread = set(_UNREAD_VALUES) - set(table)
+        assert all(getattr(filled, name) is None for name in unread)
+        for name in table:   # a set field keeps its value
+            kept = cli._with_defaults(RunConfig(command=command, **{name: "set"}))
+            assert getattr(kept, name) == "set"
+
+    def test_help_shows_each_default_in_flag_syntax(self):
+        helps = {action.option_strings[-1]: action.help for action in build_arg_parser()._actions}
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            if f.name in cli._COMMON:
+                want = {} if f.default is None else {flag: f.default}
+            else:
+                want = {command: table[f.name] for command, table in cli._READS.items()
+                        if f.name in table}
+            bracket = re.search(r" \[(.*)\]$", helps[flag])
+            shown = {}
+            for item in bracket[1].split(", ") if bracket else []:
+                who, *typed = item.split(" ")
+                if who != flag:   # a command, then the flag and its value, if it has one
+                    assert typed[:1] in ([], [flag])
+                    typed = typed[1:]
+                shown[who] = f.metadata["parse"](typed[0]) if typed else None
+            assert shown == want, flag
 
 
 # pinned config_hash values: renaming, reordering or re-encoding a hashed
@@ -380,6 +455,20 @@ class TestCmdSdTest:
         assert out.out == ""
         assert "non-finite" in out.err
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_empty_sample_file_prints_one_error_line(self, tmp_path, which):
+        # a real interpreter, so a warning would reach stderr
+        xp, yp = tmp_path / "x.txt", tmp_path / "y.txt"
+        xp.write_text("0.2\n0.5\n0.9\n")
+        yp.write_text("0.1\n0.4\n0.7\n")
+        empty = xp if which == "x" else yp
+        empty.write_text("")
+        proc = _python("-m", "ineqtest.cli", "--command", "sd-test", "--x-file", str(xp),
+                       "--y-file", str(yp))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == b""
+        assert proc.stderr == f"config error: {empty}: expected a nonempty 1-column sample\n".encode()
+
     def test_non_finite_one_sample_rejected(self, tmp_path):
         xp = tmp_path / "x.txt"
         xp.write_text("0.3\nnan\n")
@@ -425,7 +514,7 @@ class TestCmdLimit:
 
     def test_interval_runs_mc(self):
         result = cmd_limit(RunConfig(command="limit", region="interval:[-1,0]",
-                                     alpha=(0.05,), reps=400, draws=200))
+                                     alpha=(0.05,), reps=400))
         row = result.rows[0]
         assert row["method"] == "mc"
         assert row["mc_se"] > 0.0
@@ -525,7 +614,8 @@ class TestMain:
     @pytest.mark.parametrize("joined", [False, True])
     def test_negative_values_follow_their_flag(self, field, text, want, joined):
         flag = "--" + field
-        argv = ["--command", "limit"] + ([f"{flag}={text}"] if joined else [flag, text])
+        command = "table3" if field == "delta" else "limit"
+        argv = ["--command", command] + ([f"{flag}={text}"] if joined else [flag, text])
         assert getattr(resolve_config(argv), field) == want
 
     @pytest.mark.parametrize("field,text", [("delta", "-inf"), ("delta", "-Infinity"),
@@ -717,6 +807,28 @@ def _stochastic_commands(tmp_path):
             ["--command", "sd-test", "--x-file", xp, "--draws", "500"],
             ["--command", "sd-test", "--x-file", xp, "--y-file", yp, "--draws", "500",
              "--dd-boot", "99"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "table1", "--n", "20", "--h", "0.5", "--draws", "20", "--dd-boot", "9"],
+    ["--command", "table2", "--reps", "1", "--n", "20", "--h", "0", "--draws", "20",
+     "--dd-boot", "9"],
+    ["--command", "table3", "--reps", "1", "--n", "10", "--sigma-eps", "0"],
+    ["--command", "kline"],
+    ["--command", "sd-test", "--draws", "20"],
+    ["--command", "limit", "--region", "halfspace:1:0"],
+], ids=lambda argv: argv[1])
+def test_csv_header_matches_help_schema(capsys, tmp_path, argv):
+    if argv[1] == "sd-test":
+        argv = argv + ["--x-file", _sample_files(tmp_path, n=20)[0]]
+    schemas = dict(re.findall(r"^  (\S+):\s+(.*)$", build_arg_parser().epilog, re.MULTILINE))
+    assert main(argv) == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    # every float column X is followed by X_full, and every row ends with
+    # master_seed and config_hash
+    assert [c for c in header if not c.endswith("_full")] == (
+        schemas[argv[1]].split(", ") + ["master_seed", "config_hash"])
+    assert all(header[i - 1] + "_full" == c for i, c in enumerate(header) if c.endswith("_full"))
 
 
 def test_stdout_ignores_block_constants(monkeypatch, capsys, tmp_path):
