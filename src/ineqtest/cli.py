@@ -20,7 +20,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -220,7 +220,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@cache   # built once per process: parsing leaves the parser unchanged
 def build_arg_parser():
     schema_doc = """\
 CSV schemas (columns never reordered; every float column X is followed by
@@ -428,7 +427,8 @@ def emit_table(result: TableResult, cfg: RunConfig):
 def _load_sample(path):
     try:
         # numpy warns of an empty file, which is refused below as a config error
-        with warnings.catch_warnings(action="ignore", category=UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(path, ndmin=1, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
