@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import textwrap
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -220,6 +221,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
+    """Wraps help text at spaces only, so no flag such as --dd-boot is split
+    at its hyphen."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_arg_parser():
     schema_doc = """\
 CSV schemas (columns never reordered; every float column X is followed by
@@ -249,7 +258,7 @@ a run sets as given, except --workers, --out and --format, and files by content.
         prog="ineqtest",
         description="Bayesian and frequentist tests of inequality hypotheses.",
         epilog=schema_doc,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     for f in _FIELDS.values():
@@ -429,16 +438,17 @@ def _load_sample(path):
         # numpy warns of an empty file, which is refused below as a config error
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, ndmin=1, dtype=float)
+            data = np.loadtxt(path, ndmin=2, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: expected newline-delimited numbers: {exc}") from exc
-    if data.ndim != 1 or data.size == 0:
+    # one line of several numbers is a row, not a sample
+    if data.shape[1] != 1 or data.size == 0:
         raise ConfigError(f"{path}: expected a nonempty 1-column sample")
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"{path}: sample holds non-finite values (nan or inf)")
-    return data
+    return data[:, 0]
 
 
 def cmd_table1(cfg: RunConfig) -> TableResult:

@@ -410,35 +410,12 @@ def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
 _DD_BLOCK_ELEMS = 25_000
 
 
-def _two_value_weights(n, k, q):
-    """Resampling weights with mass q spread evenly over the first k of n
-    points and 1 - q over the rest (0 < k < n)."""
-    w = np.empty(n)
-    w[:k] = q / k
-    w[k:] = (1.0 - q) / (n - k)
-    return w
-
-
-def _resample_index(cw, w, k, u):
-    """min(np.searchsorted(cw, u), n - 1) for the cumulative sums ``cw`` of
-    the two-value weights ``w`` that change value after index k - 1.
-
-    On each piece cw is near linear, so a floor gives the index up to
-    rounding; the guess is then moved one step at a time until it is
-    exactly the first index with cw >= u.  The clamp at n - 1 keeps a
-    uniform above a rounded-down cw[-1] on the last point.
-    """
-    n = cw.size
-    split = cw[k - 1]
-    guess = np.where(u <= split, u / w[0], k + (u - split) / w[-1])
-    idx = np.minimum(guess.astype(np.intp), n - 1)
-    while True:
-        down = (idx > 0) & (cw[idx - 1] >= u)
-        up = (idx < n - 1) & (cw[idx] < u)
-        if not (down.any() or up.any()):
-            return idx
-        idx += up
-        idx -= down
+def _two_sided_points(u, low, k):
+    """Indices of the points a row of uniforms ``u`` resamples: the first
+    low[r] of row r uniform on [0, k), the rest uniform on [k, size).  The
+    floor of u * width is at most width - 1 for every float u < 1."""
+    below = np.arange(u.shape[1]) < low[:, None]
+    return np.where(below, 0, k) + (u * np.where(below, k, u.shape[1] - k)).astype(np.intp)
 
 
 def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, t_obs, limit=None):
@@ -448,68 +425,59 @@ def _bootstrap_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, t_obs, lim
 
     Each returned value equals its row's min-t whenever that min-t is >=
     t_obs, and is otherwise some value below t_obs, so the count of values
-    >= t_obs is exact.  A row is first screened at the split point, the
-    point at or below which lie the first kx x and the first ky y: a
-    uniform resamples one of those points exactly when it is at most their
-    cumulative weight (_resample_index returns the first index whose
-    cumulative weight reaches it), so two comparisons per uniform give the
-    row's empirical CDFs there, and the t-statistic they give is one term
-    of the row's min.  A row whose split-point t is below t_obs keeps that
-    t; only the other rows are reduced in full.
+    >= t_obs is exact.  A resampled x point is one of the first kx with
+    probability q, and then uniform on its side, so a row's split-point
+    counts, how many of its x and y points lie among the first kx and ky,
+    are Binomial(n, q) and Binomial(m, q).  They give the row's empirical
+    CDFs at the split point, and the t-statistic they give is one term of
+    the row's min.  A row whose split-point t is below t_obs keeps that t;
+    only the other rows draw their points and are reduced in full.  Row r's
+    first counts[r, 0] x points are floor(u * kx) and the rest kx +
+    floor(u * (n - kx)), for one uniform u each; likewise for y.
 
     The full reduction evaluates every min-t on the original pooled grid,
     which is exact because the resampled empirical CDFs only change value
     at original sample points; per-row point counts come from one bincount
-    per block of replicate rows.  Row r reads n + m uniforms off ``rng``,
-    its n x-uniforms then its m y-uniforms, and each block draws all its
-    rows, screened or not, so neither the blocking nor the screen changes
-    the uniforms of a row or its value.
+    per block of replicate rows.  ``rng`` gives the split-point counts of
+    all n_boot rows first, row-major, then the n + m uniforms of each
+    reduced row in row order, its x-uniforms before its y-uniforms, so the
+    blocking does not change the uniforms of a row or its value.
 
     ``limit`` ends the drawing and the reduction after the first row block
-    that brings the number of values >= t_obs to limit; only the rows drawn
-    so far are returned.
+    that brings the number of values >= t_obs to limit; only the rows up to
+    the last one reduced are returned.
     """
     n, m = x_sorted.size, y_sorted.size
-    wx = _two_value_weights(n, kx, q)
-    wy = _two_value_weights(m, ky, q)
-    grid = np.concatenate([x_sorted, y_sorted])
-    order = np.argsort(grid, kind="mergesort")
-    grid = grid[order]
+    grid = np.sort(np.concatenate([x_sorted, y_sorted]))
     big = grid.size
-    # ties in the pooled grid are fine: counts land on the first slot of a
-    # tie run and the cumulative sums below restore the correct CDF values
-    cx = np.cumsum(wx)
-    cy = np.cumsum(wy)
-    x_split, y_split = cx[kx - 1], cy[ky - 1]
     # pooled-grid slot of each sample point, so a resampled point's slot
-    # is a lookup instead of a search
+    # is a lookup instead of a search; ties are fine: counts land on the
+    # first slot of a tie run and the cumulative sums below restore the
+    # correct CDF values
     gx = np.searchsorted(grid, x_sorted, side="left")
     gy = np.searchsorted(grid, y_sorted, side="left")
-    t_min = np.empty(n_boot)
+    counts = rng.binomial((n, m), q, size=(n_boot, 2))
+    # the same integer counts, and so the same floats, as the full
+    # reduction's cumulative sums give at the split point's column
+    t_min = _min_t_terms(counts[:, 0] / n, counts[:, 1] / m, n, m)
+    live = np.flatnonzero(t_min >= t_obs)
     step = max(1, _DD_BLOCK_ELEMS // big)
-    for r0 in range(0, n_boot, step):
-        rows = min(step, n_boot - r0)
-        u = rng.random((rows, n + m))
-        # the same integer counts, and so the same floats, as the full
-        # reduction's cumulative sums give at the split point's column
-        t = _min_t_terms(np.count_nonzero(u[:, :n] <= x_split, axis=1) / n,
-                         np.count_nonzero(u[:, n:] <= y_split, axis=1) / m, n, m)
-        live = np.flatnonzero(t >= t_obs)
-        if live.size:
-            u = u[live]
-            # contiguous copies: the index search reads them several times
-            sx = gx[_resample_index(cx, wx, kx, u[:, :n].copy())]
-            sy = gy[_resample_index(cy, wy, ky, u[:, n:].copy())]
-            offset = np.arange(live.size)[:, None] * big
-            size = live.size * big
-            countx = np.bincount((sx + offset).ravel(), minlength=size).reshape(-1, big)
-            county = np.bincount((sy + offset).ravel(), minlength=size).reshape(-1, big)
-            fx = np.cumsum(countx, axis=1) / n
-            fy = np.cumsum(county, axis=1) / m
-            t[live] = _min_t_terms(fx, fy, n, m).min(axis=1)
-        t_min[r0:r0 + rows] = t
-        if limit is not None and np.count_nonzero(t_min[:r0 + rows] >= t_obs) >= limit:
-            return t_min[:r0 + rows]
+    hits = 0
+    for b0 in range(0, live.size, step):
+        rows = live[b0:b0 + step]
+        u = rng.random((rows.size, n + m))
+        sx = gx[_two_sided_points(u[:, :n], counts[rows, 0], kx)]
+        sy = gy[_two_sided_points(u[:, n:], counts[rows, 1], ky)]
+        offset = np.arange(rows.size)[:, None] * big
+        size = rows.size * big
+        countx = np.bincount((sx + offset).ravel(), minlength=size).reshape(-1, big)
+        county = np.bincount((sy + offset).ravel(), minlength=size).reshape(-1, big)
+        fx = np.cumsum(countx, axis=1) / n
+        fy = np.cumsum(county, axis=1) / m
+        t_min[rows] = _min_t_terms(fx, fy, n, m).min(axis=1)
+        hits += np.count_nonzero(t_min[rows] >= t_obs)
+        if limit is not None and hits >= limit:
+            return t_min[:rows[-1] + 1]
     return t_min
 
 
@@ -523,13 +491,14 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     F_X = F_Y at the argmin: the common value is estimated by pooling,
     each sample's mass below/above the argmin is rescaled to match, and
     resamples from the weighted samples yield the reference distribution
-    for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).  A
-    resample whose t at the argmin is already below t_obs is not reduced
-    over the whole grid (see _bootstrap_min_t_rows); p is the same.
+    for the statistic.  p = (1 + #{t* >= t_obs}) / (n_boot + 1).  Each
+    resample first draws its counts at or below the argmin, as binomials;
+    one whose t there is already below t_obs draws no points and is not
+    reduced over the whole grid (see _bootstrap_min_t_rows).
 
-    The resampling uniforms come from one PCG64 substream of ``rng`` (see
-    _substreams), drawn row by row in row blocks; ``rng``'s bit generator
-    is not advanced.
+    The counts of every resample, then the uniforms of the resamples
+    reduced in full, come from one PCG64 substream of ``rng`` (see
+    _substreams); ``rng``'s bit generator is not advanced.
 
     With ``alpha`` set, only whether p <= alpha is wanted.  The bootstrap
     then stops drawing and reducing rows once #{t* >= t_obs} reaches the
@@ -538,8 +507,8 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     returns the p of the rows drawn so far.  That value is the full
     p-value when it is <= alpha, and otherwise only known to exceed
     alpha, so ``p <= alpha`` is the same decision either way.  A row's
-    uniforms do not depend on the stop, so the rows drawn are the first
-    rows of the full p-value's.
+    counts and uniforms do not depend on the stop, so the rows drawn are
+    the first rows of the full p-value's.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)

@@ -287,6 +287,14 @@ class TestCommandFields:
             assert shown == want, flag
 
 
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_help_keeps_each_flag_on_one_line(monkeypatch, columns):
+    # argparse reads the width from COLUMNS when it builds its formatter
+    monkeypatch.setenv("COLUMNS", columns)
+    lines = build_arg_parser().format_help().splitlines()
+    assert not [line for line in lines if re.search(r"--\w+-$", line)]
+
+
 # pinned config_hash values: renaming, reordering or re-encoding a hashed
 # field changes them; x.txt and y.txt hold the bytes of _PIN_FILES
 _PIN_FILES = {"x.txt": b"0.1\n0.5\n0.7\n", "y.txt": b"0.2\n0.4\n"}
@@ -469,6 +477,28 @@ class TestCmdSdTest:
         assert proc.stdout == b""
         assert proc.stderr == f"config error: {empty}: expected a nonempty 1-column sample\n".encode()
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_one_line_of_several_numbers_exits_2(self, tmp_path, capsys, which):
+        xp, yp = tmp_path / "x.txt", tmp_path / "y.txt"
+        xp.write_text("0.2\n0.5\n0.9\n")
+        yp.write_text("0.1\n0.4\n0.7\n")
+        row = xp if which == "x" else yp
+        row.write_text("0.2 0.5 0.9\n")
+        code = main(["--command", "sd-test", "--x-file", str(xp), "--y-file", str(yp),
+                     "--draws", "50", "--dd-boot", "9"])
+        out = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out.out == ""
+        assert out.err == f"config error: {row}: expected a nonempty 1-column sample\n"
+
+    def test_one_value_file_runs(self, tmp_path, capsys):
+        xp = tmp_path / "x.txt"
+        xp.write_text("0.4\n")
+        assert main(["--command", "sd-test", "--x-file", str(xp), "--draws", "50"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["ks", "iu_beta", "bayes_sd1",
+                                                           "bayes_non_sd1"]
+
     def test_non_finite_one_sample_rejected(self, tmp_path):
         xp = tmp_path / "x.txt"
         xp.write_text("0.3\nnan\n")
@@ -529,7 +559,7 @@ class TestMain:
     def test_ok_run_writes_csv(self, tmp_path):
         out = tmp_path / "kline.csv"
         assert main(["--command", "kline", "--out", str(out)]) == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "d"
         assert len(rows) == 4
 
@@ -668,7 +698,7 @@ class TestMain:
         out = tmp_path / "out.csv"
         cfg.write_text("command = kline\nn = 5,10\n")
         assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == ["5", "10"]
 
 
@@ -682,9 +712,10 @@ class TestMain:
 # as it was: every one of its two-replication decisions lies far from alpha.
 TABLE2_GOLDEN_SHA256 = "5510edcdaf2a06b3918973ec8395ec0b985a0d8e8dfdbfa418b732c6629e5f3a"
 # sha256 of the stdout of `table1 --n 100 --draws 400 --dd-boot 99 --seed 3`
-# under the PCG64 posterior and dd substreams; its full-precision posteriors
-# and dd p-values move with any change to the weights or uniforms drawn
-TABLE1_GOLDEN_SHA256 = "16b84cc20ec96aa1128fbd412655d23d10d2c81cb46b431b3590e7709035767c"
+# under the PCG64 posterior and dd substreams, with the dd bootstrap's
+# binomial split-point counts; its full-precision posteriors and dd p-values
+# move with any change to the weights, counts or uniforms drawn
+TABLE1_GOLDEN_SHA256 = "4f6f89aa569fede2011b9fd851fd7f4b856b25ec5df74f4603dc599d2a6cf179"
 # sha256 of the stdout of `table3 --reps 4 --seed 3` and of `limit --reps
 # 5000 --seed 3` on three regions, recorded while the replication engine
 # still took scalar tasks and ran blocks in worker processes of its own
@@ -698,7 +729,9 @@ LIMIT_GOLDEN_SHA256 = {
 # both bootstraps: one-sample on the shifted x file (some points above the
 # reference's support) and on the uniform y file, and two-sample x against
 # y; and of default `kline`.  Recorded while the one-sample reference was
-# still a CDF object with an evaluate method.
+# still a CDF object with an evaluate method; the two-sample entries were
+# re-recorded when the dd bootstrap began drawing binomial split-point
+# counts.
 SD_TEST_GOLDEN_SHA256 = {
     ("x", "banks"):
         "12b532d644eda5eebbb25488c6a249d1c403cb90cc1543b95e4fdeaed7922f41",
@@ -709,9 +742,9 @@ SD_TEST_GOLDEN_SHA256 = {
     ("y", "rubin"):
         "9b78dd446cd39420f7583f6c7380ad06ebad6840efafd3adf0ba446173beacfe",
     ("x,y", "banks"):
-        "9eab49d8f15a87253024740cde9c0cef91a7356510af9af505f937e02d3b9895",
+        "f3ca35cd519eee9de385bfe4f01abf4321d2facc4ce2310d34be84084762862b",
     ("x,y", "rubin"):
-        "bee2f20d0a287b71f7acf740cea2a37a8d17ceabbfca841047572f442103b2d6",
+        "4b41bdc832290cdc8845427849291b03bfc7b9068a85a4f3ef0d0e523e93457e",
 }
 KLINE_GOLDEN_SHA256 = "23b2b9f1abce706cf0b40ecef49fe2abe5ecd712ffa16db209d1c9545d7222ae"
 # sha256 of the `--format json` stdout of a simulated and an exact limit

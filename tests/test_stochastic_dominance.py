@@ -737,11 +737,11 @@ SHARED_STREAM_SD1_COUNTS = {
 
 # (sample, n_boot, rng seed, p-value)
 PINNED_DD = [
-    ("fd60_h0.9", 99, 1, 0.04),
-    ("fd100_h0.9", 999, 2, 0.014),
-    ("su300_h0.9", 499, 3, 0.152),
+    ("fd60_h0.9", 99, 1, 0.01),
+    ("fd100_h0.9", 999, 2, 0.019),
+    ("su300_h0.9", 499, 3, 0.17),
     ("ties", 199, 4, 1.0),
-    ("fd50_h0.9", 999, 5, 0.025),
+    ("fd50_h0.9", 999, 5, 0.027),
 ]
 PINNED_DD_SAMPLES = dict(PINNED_SAMPLES,
                          **{"fd60_h0.9": fixed_design_sample(60, 0.9),
@@ -787,8 +787,9 @@ class TestPinnedOutputs:
         monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
         self.test_posterior_counts(name)
 
-    def test_dd_pvalues_ignore_row_block(self, monkeypatch):
-        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", 1)
+    @pytest.mark.parametrize("block", [1, 10 ** 8])
+    def test_dd_pvalues_ignore_row_block(self, monkeypatch, block):
+        monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         self.test_dd_pvalues()
 
     @pytest.mark.parametrize("block", [None, 10 ** 9])
@@ -828,12 +829,12 @@ def _dd_stop_count(n_boot, alpha):
 # bootstrap (also seeded by seed) counts one short of the stop count or
 # exactly the stop count, for every n_boot and alpha
 DD_BOUNDARY = [
-    (20, 1.3, 7, 19, 0.05, 0.05), (20, 1.3, 2, 19, 0.05, 0.1),
-    (20, 1.3, 2, 19, 0.1, 0.1), (20, 1.3, 5, 19, 0.1, 0.15),
-    (20, 1.3, 38, 99, 0.05, 0.05), (20, 1.3, 18, 99, 0.05, 0.06),
-    (20, 1.3, 6, 99, 0.1, 0.1), (100, 1.3, 72, 99, 0.1, 0.11),
-    (20, 1.3, 48, 199, 0.05, 0.05), (20, 1.3, 9, 199, 0.05, 0.055),
-    (20, 1.3, 39, 199, 0.1, 0.1), (20, 1.3, 72, 199, 0.1, 0.105),
+    (20, 1.3, 7, 19, 0.05, 0.05), (20, 1.3, 5, 19, 0.05, 0.1),
+    (20, 1.3, 5, 19, 0.1, 0.1), (20, 1.3, 3, 19, 0.1, 0.15),
+    (20, 1.3, 14, 99, 0.05, 0.05), (20, 1.3, 48, 99, 0.05, 0.06),
+    (20, 1.3, 9, 99, 0.1, 0.1), (100, 1.3, 13, 99, 0.1, 0.11),
+    (20, 1.3, 50, 199, 0.05, 0.05), (20, 1.3, 88, 199, 0.05, 0.055),
+    (20, 1.3, 72, 199, 0.1, 0.1), (20, 1.3, 78, 199, 0.1, 0.105),
 ]
 DD_BLOCKS = [1, sd._DD_BLOCK_ELEMS, 10 ** 8]
 
@@ -900,8 +901,9 @@ class TestDecisionOnlyDd:
     @pytest.mark.parametrize("block", DD_BLOCKS)
     @pytest.mark.parametrize("case", DD_BOUNDARY)
     def test_stop_draws_only_the_rows_it_reduces(self, monkeypatch, block, case):
-        # the substream ends where one that drew the returned rows' n + m
-        # uniforms each ends, full or stopped
+        # the substream ends where one that drew every row's two split-point
+        # counts, then n + m uniforms for each returned row reduced in full,
+        # ends, full or stopped
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         n, h, seed, n_boot, alpha, _ = case
         x, y = _shifted_pair(n, h, seed)
@@ -909,15 +911,18 @@ class TestDecisionOnlyDd:
         bootstrap = sd._bootstrap_min_t_rows
 
         def recorded(*args):
-            seen.append((bootstrap(*args), args[6]))
+            seen.append((bootstrap(*args), args))
             return seen[-1][0]
 
         monkeypatch.setattr(sd, "_bootstrap_min_t_rows", recorded)
         full, stopped = _dd_decisions(x, y, n_boot, alpha, seed)
         assert (stopped <= alpha) == (full <= alpha)
-        for rows, substream in seen:
+        for rows, args in seen:
+            q, substream, t_obs = args[4], args[6], args[7]
             reference, = sd._substreams(np.random.default_rng(seed), 1)
-            reference.random(rows.size * (len(x) + len(y)))
+            counts = reference.binomial((n, n), q, size=(n_boot, 2))[:rows.size]
+            split_t = sd._min_t_terms(counts[:, 0] / n, counts[:, 1] / n, n, n)
+            reference.random(np.count_nonzero(split_t >= t_obs) * 2 * n)
             assert substream.bit_generator.state == reference.bit_generator.state
 
     def test_stream_left_where_full_pvalue_leaves_it(self):
@@ -945,33 +950,48 @@ class TestDecisionOnlyDd:
 # split-point screen of the dd bootstrap
 
 
+def _resampled_min_t(x_sorted, y_sorted, ix, iy):
+    """Min-t of the resample that takes the points ``ix`` of x and ``iy`` of
+    y, over its own pooled points; inf when none is interior."""
+    t, _ = sd._interior_min_t(np.sort(x_sorted[ix]), np.sort(y_sorted[iy]))
+    return np.inf if math.isnan(t) else t
+
+
+def _side_indices(u, count, k):
+    """The first ``count`` uniforms of ``u`` pick from [0, k), the rest from
+    [k, u.size)."""
+    return np.concatenate([(u[:count] * k).astype(int),
+                           k + (u[count:] * (u.size - k)).astype(int)])
+
+
 def _unscreened_min_t_rows(x_sorted, y_sorted, kx, ky, q, n_boot, rng, t_obs, limit=None):
-    """Oracle: _bootstrap_min_t_rows with every row reduced in full on the
-    pooled grid and no split-point screen, drawing the same uniforms in the
-    same row blocks, so every value is its row's min-t."""
+    """Oracle: _bootstrap_min_t_rows with every row reduced in full, one row
+    at a time, over its own resampled points.  It reads the same stream:
+    every row's split-point counts, then the uniforms of each row whose
+    split-point t is >= t_obs, in row order.  The other rows, which the
+    package never reduces, take their uniforms from a generator of their
+    own, so every value is its row's min-t.  With ``limit`` it stops where
+    the package does: after the block of reduced rows, _DD_BLOCK_ELEMS //
+    (n + m) of them, that brings the count of values >= t_obs to limit."""
     n, m = x_sorted.size, y_sorted.size
-    wx = sd._two_value_weights(n, kx, q)
-    wy = sd._two_value_weights(m, ky, q)
-    grid = np.sort(np.concatenate([x_sorted, y_sorted]), kind="mergesort")
-    big = grid.size
-    cx, cy = np.cumsum(wx), np.cumsum(wy)
-    gx = np.searchsorted(grid, x_sorted, side="left")
-    gy = np.searchsorted(grid, y_sorted, side="left")
+    counts = rng.binomial((n, m), q, size=(n_boot, 2))
+    split_t = sd._min_t_terms(counts[:, 0] / n, counts[:, 1] / m, n, m)
+    own = np.random.default_rng(0)
+    block = max(1, sd._DD_BLOCK_ELEMS // (n + m))
     t_min = np.empty(n_boot)
-    step = max(1, sd._DD_BLOCK_ELEMS // big)
-    for r0 in range(0, n_boot, step):
-        rows = min(step, n_boot - r0)
-        u = rng.random((rows, n + m))
-        sx = gx[sd._resample_index(cx, wx, kx, u[:, :n].copy())]
-        sy = gy[sd._resample_index(cy, wy, ky, u[:, n:].copy())]
-        offset = np.arange(rows)[:, None] * big
-        countx = np.bincount((sx + offset).ravel(), minlength=rows * big).reshape(rows, big)
-        county = np.bincount((sy + offset).ravel(), minlength=rows * big).reshape(rows, big)
-        fx = np.cumsum(countx, axis=1) / n
-        fy = np.cumsum(county, axis=1) / m
-        t_min[r0:r0 + rows] = sd._min_t_terms(fx, fy, n, m).min(axis=1)
-        if limit is not None and np.count_nonzero(t_min[:r0 + rows] >= t_obs) >= limit:
-            return t_min[:r0 + rows]
+    reduced = hits = 0
+    last = n_boot - 1
+    for r in range(n_boot):
+        source = rng if split_t[r] >= t_obs else own
+        u = source.random(n + m)
+        t_min[r] = _resampled_min_t(x_sorted, y_sorted, _side_indices(u[:n], counts[r, 0], kx),
+                                    _side_indices(u[n:], counts[r, 1], ky))
+        if source is rng:
+            reduced, hits, last = reduced + 1, hits + (t_min[r] >= t_obs), r
+            if limit is not None and hits >= limit and reduced % block == 0:
+                return t_min[:r + 1]
+    if limit is not None and hits >= limit:
+        return t_min[:last + 1]
     return t_min
 
 
@@ -980,8 +1000,8 @@ class TestSplitPointScreen:
     @pytest.mark.parametrize("n", [20, 100, 1000, 2500])
     @pytest.mark.parametrize("h", [0.0, 0.9, 1.3, 4.0])
     def test_rows_agree_with_unscreened_oracle(self, monkeypatch, block, n, h):
-        # per row: equal wherever either value is >= t_obs, and the
-        # screened value below t_obs otherwise; the p-values are equal
+        # per row: equal wherever either value is >= t_obs, and both below
+        # t_obs otherwise; the p-values are equal
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         bootstrap = sd._bootstrap_min_t_rows
         rows = []
@@ -991,15 +1011,16 @@ class TestSplitPointScreen:
             rows.append((bootstrap(*args), oracle, args[7]))
             return rows[-1][0]
 
+        monkeypatch.setattr(sd, "_bootstrap_min_t_rows", paired)
         for seed in range(1 if n >= 1000 else 3):
             x, y = _shifted_pair(n, h, 3000 + seed)
             for n_boot, alpha in ((199, None), (199, 0.1), (99, 0.05)):
-                pvalues = []
-                for rows_fn in (paired, _unscreened_min_t_rows):
-                    monkeypatch.setattr(sd, "_bootstrap_min_t_rows", rows_fn)
-                    pvalues.append(dd_pvalue_nonsd1(x, y, n_boot=n_boot, alpha=alpha,
-                                                    rng=np.random.default_rng(seed)))
-                assert pvalues[0] == pvalues[1]
+                calls = len(rows)
+                p = dd_pvalue_nonsd1(x, y, n_boot=n_boot, alpha=alpha,
+                                     rng=np.random.default_rng(seed))
+                if len(rows) > calls:
+                    _, oracle, t_obs = rows[-1]
+                    assert p == (1.0 + np.sum(oracle >= t_obs)) / (n_boot + 1.0)
         for screened, oracle, t_obs in rows:
             assert screened.size == oracle.size
             decided = (screened >= t_obs) | (oracle >= t_obs)
@@ -1010,20 +1031,39 @@ class TestSplitPointScreen:
 
     def test_dominant_pair_reduces_few_rows_in_full(self, monkeypatch):
         # far into the alternative the split-point t of nearly every row is
-        # below t_obs, so nearly no row reaches the resample index
+        # below t_obs, so nearly no row draws its points
         x, y = _shifted_pair(2500, 4.0, 11)
-        resample_index = sd._resample_index
+        two_sided_points = sd._two_sided_points
         seen = []
 
-        def counted(cw, w, k, u):
+        def counted(u, low, k):
             seen.append(u.shape[0])
-            return resample_index(cw, w, k, u)
+            return two_sided_points(u, low, k)
 
-        monkeypatch.setattr(sd, "_resample_index", counted)
+        monkeypatch.setattr(sd, "_two_sided_points", counted)
         p = dd_pvalue_nonsd1(x, y, n_boot=999, rng=np.random.default_rng(11))
         assert p == 1.0 / 1000.0
         # each row reduced in full resamples x, then y
         assert sum(seen) / 2 < 0.01 * 999
+
+
+class TestResampler:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_min_t_matches_an_independent_resampler(self, seed):
+        # t_obs = -inf reduces every row in full; its min-t values follow
+        # the law of resamples drawn from explicit two-value weights
+        gen = np.random.default_rng(100 + seed)
+        x = np.sort(gen.uniform(0.1, 1.1, 20))
+        y = np.sort(gen.uniform(0.0, 1.0, 15))
+        n, m, kx, ky, rows = x.size, y.size, 8, 9, 3000
+        q = (kx + ky) / (n + m)
+        t = sd._bootstrap_min_t_rows(x, y, kx, ky, q, rows, np.random.default_rng(seed), -np.inf)
+        wx = np.where(np.arange(n) < kx, q / kx, (1.0 - q) / (n - kx))
+        wy = np.where(np.arange(m) < ky, q / ky, (1.0 - q) / (m - ky))
+        rng = np.random.default_rng(50 + seed)
+        ref = np.array([_resampled_min_t(x, y, rng.choice(n, n, p=wx), rng.choice(m, m, p=wy))
+                        for _ in range(rows)])
+        assert stats.ks_2samp(t[np.isfinite(t)], ref[np.isfinite(ref)]).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -1168,36 +1208,3 @@ class TestTopupRule:
         calls, _ = self._count_posteriors(monkeypatch, "sd1", [draws // 10], reps=3,
                                           draws=draws)
         assert calls == [draws] * 3
-
-
-# ---------------------------------------------------------------------------
-# closed-form min-t resample index
-
-
-def _searchsorted_index(cw, u):
-    return np.minimum(np.searchsorted(cw, u), cw.size - 1)
-
-
-class TestResampleIndex:
-    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
-    def test_matches_searchsorted(self, n):
-        rng = np.random.default_rng(n)
-        for k in sorted({1, n // 2 or 1, n - 1}):
-            for q in (k / n, 0.5, rng.uniform(0.01, 0.99)):
-                w = sd._two_value_weights(n, k, q)
-                cw = np.cumsum(w)
-                # random uniforms, every cumulative sum exactly (ties), the
-                # floats either side of each, and uniforms above cw[-1]
-                u = np.concatenate([rng.random(4000), cw, np.nextafter(cw, 0.0),
-                                    np.nextafter(cw, 2.0), [0.0, 1.0 - 2**-53]])
-                u = u[u < 1.0].reshape(1, -1)
-                got = sd._resample_index(cw, w, k, u)
-                np.testing.assert_array_equal(got, _searchsorted_index(cw, u))
-
-    def test_clamps_above_rounded_down_total(self):
-        w = sd._two_value_weights(3, 1, 0.1)
-        cw = np.cumsum(w)
-        cw[-1] = 1.0 - 2**-52
-        u = np.array([[1.0 - 2**-53]])
-        assert np.searchsorted(cw, u)[0, 0] == 3
-        assert sd._resample_index(cw, w, 1, u)[0, 0] == 2
