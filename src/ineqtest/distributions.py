@@ -97,18 +97,31 @@ def beta_quantile(p, a, b):
     return special.betaincinv(a, b, p)
 
 
-def dirichlet_flat_sample(n, rng, size=None):
+def dirichlet_flat_sample(n, rng, size=None, rest=0):
     """Flat Dirichlet(1, ..., 1) weights over n cells.
 
     Sampled as normalized standard exponentials.  With ``size`` set, returns
     an array of shape (size, n); otherwise shape (n,).
+
+    With ``rest`` > 0, one more cell follows the n, of Dirichlet parameter
+    ``rest``: the total weight of ``rest`` further flat cells, so the last
+    axis has n + 1 entries.  It is a standard gamma variate, drawn after
+    all the exponentials, and the cells are scaled by the reciprocal of
+    their sum, one multiply each.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     shape = (n,) if size is None else (size, n)
     g = rng.standard_exponential(shape)
-    g /= g.sum(axis=-1, keepdims=True)
-    return g
+    if not rest:
+        g /= g.sum(axis=-1, keepdims=True)
+        return g
+    tail = rng.standard_gamma(rest, shape[:-1] + (1,))
+    scale = 1.0 / (g.sum(axis=-1, keepdims=True) + tail)
+    out = np.empty(shape[:-1] + (n + 1,))
+    np.multiply(g, scale, out=out[..., :n])
+    np.multiply(tail, scale, out=out[..., n:])
+    return out
 
 
 @dataclass(frozen=True)

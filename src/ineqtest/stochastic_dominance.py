@@ -136,47 +136,110 @@ def _row_table(sorted_sample, variant, grid):
     return _RowTable(k=seg, frac=padded, lo=lo, hi=hi)
 
 
-def _cdf_columns(table, w, rows, carry, pos, j0, j1):
-    """Values of the CDF rows ``w[rows]`` at grid columns [j0, j1).
-
-    ``carry`` holds C[pos] for each selected row; returns the (rows,
-    j1 - j0) values with the carry and position advanced.  The running sum
-    is extended by a sequential cumsum over [carry, next weights], so every
-    C[k] is the same float a cumsum over the whole row gives.
-    """
-    out = np.empty((carry.size, j1 - j0))
-    a = min(max(j0, table.lo), j1)
-    b = min(max(j0, table.hi), j1)
-    out[:, :a - j0] = 0.0
-    out[:, b - j0:] = 1.0
-    if a < b:
-        k = table.k[a:b] - pos
-        q = int(k[-1])
-        win = w[rows, pos:pos + q + (table.frac is not None)]
-        cum = np.empty((carry.size, q + 1))
-        cum[:, 0] = carry
-        cum[:, 1:] = win[:, :q]
-        np.cumsum(cum, axis=1, out=cum)
-        vals = out[:, a - j0:b - j0]
-        np.take(cum, k, axis=1, out=vals)
-        if table.frac is not None:
-            vals += table.frac[a:b] * win[:, k]
-        carry = cum[:, q]
-        pos += q
-    return out, carry, pos
-
-
-def _weight_rows(n, variant, rng, draws):
-    return dirichlet_flat_sample(n if variant == RUBIN else n + 1, rng, size=draws)
-
-
-# a draw block has _BLOCK_ELEMS // (pooled grid points) draws, so its weight
-# rows hold about _BLOCK_ELEMS floats per sample; keeps large-draw
-# posteriors at tens of MB; output does not depend on it
-_BLOCK_ELEMS = 4_000_000
-# grid columns evaluated per step of the dominance walk; output does not
-# depend on it
+# weights a sample's rows draw per step, for the draws still alive: the
+# next _WEIGHT_CHUNK cells' weights and the rest of the unseen mass.  Part
+# of the sampling scheme, like _BATCH_DRAWS: which weights a draw gets
+# depends on it, so changing it re-rolls every posterior on a sample of
+# more cells than it
+_WEIGHT_CHUNK = 128
+# grid columns evaluated per step of the dominance walk, at most, and alive
+# rows x columns per step, at most (down to one column), which bounds the
+# step's temporaries when a posterior has many draws; output depends on
+# neither
 _CHUNK_COLS = 64
+_STEP_ELEMS = 1 << 17
+
+
+def _running_sums(carry, w):
+    """[carry, carry + w[:, 0], carry + w[:, 0] + w[:, 1], ...] per row:
+    the running sum extended by a sequential cumsum, so every value is the
+    same float a cumsum over the whole row gives."""
+    cum = np.empty((carry.size, w.shape[1] + 1))
+    cum[:, 0] = carry
+    cum[:, 1:] = w
+    return np.cumsum(cum, axis=1, out=cum)
+
+
+class _LazyRows:
+    """One sample's bootstrap CDF rows at the grid columns, for the
+    posterior draws still alive, with the Dirichlet weights drawn a chunk
+    at a time.
+
+    A row holds its running sum C[pos] (``carry``) and, in ``w``, the
+    weights of cells [pos, drawn), drawn but not yet summed, followed,
+    while cells remain unseen, by their total mass.  With r cells unseen,
+    the next chunk of c = min(_WEIGHT_CHUNK, r) weights and the new unseen
+    mass are the old mass times a Dirichlet(1, ..., 1, r - c) draw
+    (normalized, then scaled), so every assembled row is flat Dirichlet.
+
+    The first chunk, of mass 1, is drawn for every row at once and left
+    unscaled, so a row of at most _WEIGHT_CHUNK cells is one
+    dirichlet_flat_sample row, float for float.  A later chunk is drawn
+    only when ``advance`` reaches ``ready``, the first column that reads a
+    cell not yet drawn, and only for the rows then alive, in draw order:
+    their exponentials row-major, then their gammas.
+    """
+
+    def __init__(self, sorted_sample, variant, grid, rng, draws):
+        self.table = _row_table(sorted_sample, variant, grid)
+        self.cells = sorted_sample.size + (variant == BANKS)
+        self.rng = rng
+        self.carry = np.zeros(draws)
+        self.pos = self.drawn = 0
+        self._draw()
+
+    def _draw(self):
+        r = self.cells - self.drawn
+        c = min(_WEIGHT_CHUNK, r)
+        e = dirichlet_flat_sample(c, self.rng, size=self.carry.size, rest=r - c)
+        if self.drawn:
+            # sum the drawn cells into the carry and split the unseen mass
+            self.carry = _running_sums(self.carry, self.w[:, :-1])[:, -1]
+            self.pos = self.drawn
+            e *= self.w[:, -1:]
+        self.w = e
+        self.drawn += c
+        # column j reads cells [0, k[j] + (frac is not None)) for lo <= j < hi
+        t = self.table
+        need = self.drawn - (t.frac is not None)
+        self.ready = t.lo + int(np.searchsorted(t.k[t.lo:t.hi], need, side="right"))
+        if self.ready == t.hi:
+            self.ready = t.k.size
+
+    def advance(self, j0, j1):
+        """Draws the chunks column j0 reads, for the rows alive, and
+        returns the end, at most j1, of the columns from j0 on that read
+        only drawn cells."""
+        while self.ready == j0:
+            self._draw()
+        return min(j1, self.ready)
+
+    def columns(self, j0, j1):
+        """The alive rows' values at grid columns [j0, j1), which must
+        read only drawn cells; advances the carry."""
+        t = self.table
+        out = np.empty((self.carry.size, j1 - j0))
+        a = min(max(j0, t.lo), j1)
+        b = min(max(j0, t.hi), j1)
+        out[:, :a - j0] = 0.0
+        out[:, b - j0:] = 1.0
+        if a < b:
+            k = t.k[a:b] - self.pos
+            q = int(k[-1])
+            cum = _running_sums(self.carry, self.w[:, :q])
+            vals = out[:, a - j0:b - j0]
+            np.take(cum, k, axis=1, out=vals)
+            if t.frac is not None:
+                vals += t.frac[a:b] * self.w[:, k]
+            self.carry = cum[:, q]
+            self.w = self.w[:, q:]
+            self.pos += q
+        return out
+
+    def keep(self, ok):
+        """Drops the rows where ``ok`` is False."""
+        self.w = self.w[ok]
+        self.carry = self.carry[ok]
 
 
 def _substreams(rng, k):
@@ -214,20 +277,21 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     grid, for the sorted sample ``xs`` against the reference CDF function
     ``ref`` or the sorted opponent sample ``ys`` (see _as_opponent).
 
-    X's weight rows come off the generator ``rx`` and the opponent
-    sample's off ``ry``, each row-major, in lockstep draw blocks of
-    _BLOCK_ELEMS // (grid points) rows.  Within a block the grid is walked
-    in chunks of _CHUNK_COLS columns, keeping only the draws that have not
-    yet violated the bound: each chunk extends the alive rows' running CDF
+    X's weights come off the generator ``rx`` and the opponent sample's
+    off ``ry``, each a chunk of cells at a time (see _LazyRows).  The grid
+    is walked in steps of at most _CHUNK_COLS columns, fewer when many
+    draws are alive (_STEP_ELEMS), keeping only the draws that have not
+    yet violated the bound: each step extends the alive rows' running CDF
     sums from a per-row carry, compares those columns, and drops every
-    violating row; the block ends early once none is left.  The count
-    equals that of a whole-matrix evaluation bit for bit: the
-    carry-extended cumsum adds the same terms in the same order as a
-    cumsum over the whole row, and every block's rows are drawn in full
-    whatever their fate.  With two generators the rows a draw reads do not
-    depend on the block size, so neither the block size nor the chunk
-    width is part of the sampling scheme.  (With one generator as both
-    sources, X's and Y's blocks interleave on it, and the block size is.)
+    violating row; the walk ends early once none is left.  A step stops
+    short of the first column that reads a cell not yet drawn, so a
+    sample's next chunk is drawn, for the rows then alive, only after
+    every earlier column has been checked: the weights a draw gets depend
+    on _WEIGHT_CHUNK but not on the steps.  The count
+    equals that of a whole-matrix evaluation of the same weights bit for
+    bit, since the carry-extended cumsum adds the same terms in the same
+    order as a cumsum over the whole row.  (With one generator as both
+    sources, X's chunk comes before Y's wherever both draw.)
 
     Samples that _zero_posterior screens out count 0 before any weight is
     drawn.
@@ -240,36 +304,29 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
         fixed_bound = None
     if _zero_posterior(xs, fixed_bound, ys, tol):
         return 0
+    samples = [_LazyRows(xs, variant, grid, rx, draws)]
     if ys is not None:
-        ty = _row_table(ys, variant, grid)
-    tx = _row_table(xs, variant, grid)
-    size = grid.size
-    block = max(1, _BLOCK_ELEMS // max(1, size))
-    count = 0
-    done = 0
-    while done < draws:
-        take = min(block, draws - done)
-        wx = _weight_rows(xs.size, variant, rx, take)
-        wy = None if ys is None else _weight_rows(ys.size, variant, ry, take)
-        alive = np.arange(take)
-        cx, px = np.zeros(take), 0
-        cy, py = np.zeros(take), 0
-        for j0 in range(0, size, _CHUNK_COLS):
-            j1 = min(size, j0 + _CHUNK_COLS)
-            fx, cx, px = _cdf_columns(tx, wx, alive, cx, px, j0, j1)
-            if ys is None:
-                bound = fixed_bound[j0:j1]
-            else:
-                fy, cy, py = _cdf_columns(ty, wy, alive, cy, py, j0, j1)
-                bound = fy + tol
-            ok = np.all(fx <= bound, axis=1)
-            if not ok.all():
-                alive, cx, cy = alive[ok], cx[ok], cy[ok]
-                if alive.size == 0:
-                    break
-        count += alive.size
-        done += take
-    return count
+        samples.append(_LazyRows(ys, variant, grid, ry, draws))
+    j0 = 0
+    while j0 < grid.size:
+        alive = samples[0].carry.size
+        j1 = min(grid.size, j0 + max(1, min(_CHUNK_COLS, _STEP_ELEMS // alive)))
+        for sample in samples:
+            j1 = sample.advance(j0, j1)
+        f = [sample.columns(j0, j1) for sample in samples]
+        if ys is None:
+            bound = fixed_bound[j0:j1]
+        else:
+            bound = f[1]
+            bound += tol
+        ok = np.all(f[0] <= bound, axis=1)
+        if not ok.all():
+            if not ok.any():
+                return 0
+            for sample in samples:
+                sample.keep(ok)
+        j0 = j1
+    return samples[0].carry.size
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +355,12 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     sample's from a second (see _substreams), so ``rng`` must be built on
     a SeedSequence, as SeedPlan streams and np.random.default_rng are.
     ``rng``'s bit generator is not advanced, whatever the draws, and a
-    second call on it draws fresh weights.
+    second call on it draws fresh weights.  Each substream is read chunk
+    by chunk, and a draw that violates dominance draws no later chunk
+    (see _LazyRows), so which weights a draw gets depends on
+    _WEIGHT_CHUNK; on a sample of at most _WEIGHT_CHUNK cells (n under
+    rubin, n + 1 under banks) each draw's weights are one
+    dirichlet_flat_sample row.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)

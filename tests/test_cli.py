@@ -865,9 +865,9 @@ def test_csv_header_matches_help_schema(capsys, tmp_path, argv):
 
 
 def test_stdout_ignores_block_constants(monkeypatch, capsys, tmp_path):
-    # the draw blocks, walk chunks and dd row blocks only cut the work up
-    settings = [dict(_BLOCK_ELEMS=600, _CHUNK_COLS=5, _DD_BLOCK_ELEMS=1),
-                dict(_BLOCK_ELEMS=10 ** 9, _CHUNK_COLS=10 ** 4, _DD_BLOCK_ELEMS=10 ** 8)]
+    # the walk chunks and dd row blocks only cut the work up
+    settings = [dict(_CHUNK_COLS=5, _STEP_ELEMS=1, _DD_BLOCK_ELEMS=1),
+                dict(_CHUNK_COLS=10 ** 4, _STEP_ELEMS=10 ** 9, _DD_BLOCK_ELEMS=10 ** 8)]
     for argv in _stochastic_commands(tmp_path):
         assert main(argv) == EXIT_OK
         want = capsys.readouterr().out

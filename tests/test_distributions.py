@@ -132,6 +132,34 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_flat_sample(0, rng)
 
+    def test_stream_order_and_normalization(self):
+        # all the exponentials row-major, then the gammas; rest = 0 is the
+        # plain normalized exponentials, float for float
+        e = np.random.default_rng(14).standard_exponential((3, 6))
+        np.testing.assert_array_equal(dirichlet_flat_sample(6, np.random.default_rng(14), size=3),
+                                      e / e.sum(axis=1, keepdims=True))
+        rng = np.random.default_rng(15)
+        e, tail = rng.standard_exponential((3, 6)), rng.standard_gamma(20, (3, 1))
+        scale = 1.0 / (e.sum(axis=1, keepdims=True) + tail)
+        np.testing.assert_array_equal(
+            dirichlet_flat_sample(6, np.random.default_rng(15), size=3, rest=20),
+            np.concatenate([e * scale, tail * scale], axis=1))
+        assert dirichlet_flat_sample(6, np.random.default_rng(15), rest=20).shape == (7,)
+
+    def test_rest_cell_moments(self, rng):
+        # Dirichlet(1, ..., 1, rest): the rows sum to 1, each of the n
+        # cells is one of n + rest flat cells, Beta(1, n + rest - 1), and
+        # the last is Beta(rest, n)
+        n, rest, draws = 5, 40, 200_000
+        w = dirichlet_flat_sample(n, rng, size=draws, rest=rest)
+        assert w.shape == (draws, n + 1)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-14)
+        k = n + rest
+        var = (k - 1) / (k * k * (k + 1.0))
+        assert np.max(np.abs(w[:, :n].mean(axis=0) - 1 / k)) < 5 * np.sqrt(var / draws)
+        np.testing.assert_allclose(w[:, :n].var(axis=0), var, rtol=0.03)
+        assert abs(w[:, n].mean() - rest / k) < 5 * np.sqrt(rest * n / (k * k * (k + 1.0)) / draws)
+
 
 class TestBivariateNormalCdf:
     @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.7, 0.99])

@@ -8,12 +8,13 @@ every bootstrap draw gives the same verdict.
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 import ineqtest.stochastic_dominance as sd
 from conftest import oracle_beta_cdf_int, oracle_normal_cdf
@@ -165,13 +166,24 @@ def bb_draw(sample, variant, rng):
 
 def _posterior_rows(sample, variant, rng, draws, grid):
     """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``: the
-    row evaluator run over the whole grid at once."""
+    lazy rows walked over the whole grid, drawing every chunk it reads,
+    with no draw dropped."""
     xs = np.sort(np.asarray(sample, dtype=float))
     grid = np.asarray(grid, dtype=float)
-    w = sd._weight_rows(xs.size, variant, rng, draws)
-    rows, _, _ = sd._cdf_columns(sd._row_table(xs, variant, grid), w, slice(None),
-                                 np.zeros(draws), 0, 0, grid.size)
-    return rows
+    lazy = sd._LazyRows(xs, variant, grid, rng, draws)
+    cols, j0 = [], 0
+    while j0 < grid.size:
+        j1 = lazy.advance(j0, grid.size)
+        cols.append(lazy.columns(j0, j1))
+        j0 = j1
+    return np.concatenate(cols, axis=1)
+
+
+def _first_weights(sample, variant, seed, draws):
+    """The weights the lazy rows of ``sample`` draw before the walk: the
+    whole rows, for a sample of at most _WEIGHT_CHUNK cells."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    return sd._LazyRows(xs, variant, xs, np.random.default_rng(seed), draws).w
 
 
 class TestBbDraw:
@@ -230,7 +242,7 @@ class TestCdfRows:
         sample = [0.0, 1.0, 2.0]
         grid = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
         rows = _posterior_rows(sample, RUBIN, np.random.default_rng(6), 4, grid)
-        w = sd._weight_rows(3, RUBIN, np.random.default_rng(6), 4)
+        w = _first_weights(sample, RUBIN, 6, 4)
         c1, c2 = w[:, 0], w[:, 0] + w[:, 1]
         expected = np.column_stack([np.zeros(4), c1, c1, c2, c2, np.ones(4), np.ones(4)])
         np.testing.assert_array_equal(rows, expected)
@@ -247,14 +259,14 @@ class TestCdfRows:
         # a jump at the tie, so the row is right-continuous there
         grid = np.array([np.nextafter(1.0, 0.0), 1.0])
         rows = _posterior_rows([0.0, 1.0, 1.0, 2.0], BANKS, np.random.default_rng(8), 50, grid)
-        w = sd._weight_rows(4, BANKS, np.random.default_rng(8), 50)
+        w = _first_weights([0.0, 1.0, 1.0, 2.0], BANKS, 8, 50)
         np.testing.assert_allclose(rows[:, 1], w[:, :3].sum(axis=1), atol=1e-15)
         np.testing.assert_allclose(rows[:, 1] - rows[:, 0], w[:, 2], atol=1e-15)
 
     def test_banks_linear_between_order_statistics(self):
         grid = np.array([0.0, 1.0, np.nextafter(2.0, 0.0)])
         rows = _posterior_rows([0.0, 2.0], BANKS, np.random.default_rng(9), 50, grid)
-        w = sd._weight_rows(2, BANKS, np.random.default_rng(9), 50)
+        w = _first_weights([0.0, 2.0], BANKS, 9, 50)
         np.testing.assert_allclose(rows[:, 0], w[:, 0], atol=1e-15)
         np.testing.assert_allclose(rows[:, 1], w[:, 0] + w[:, 1] / 2.0, atol=1e-15)
         np.testing.assert_allclose(rows[:, 1], (rows[:, 0] + rows[:, 2]) / 2.0, atol=1e-15)
@@ -276,6 +288,123 @@ class TestCdfRows:
         rows = _posterior_rows(sample, variant, np.random.default_rng(10), 100, grid)
         assert np.all(rows[:, :2] == 0.0)
         assert np.all(rows[:, 2:] == 1.0)
+
+
+def _recording_draws(monkeypatch):
+    """Patches the posterior's weight draws to record (n, size, rest) per
+    call, keyed by the generator drawn from."""
+    calls = {}
+
+    def recorded(n, rng, size=None, rest=0):
+        calls.setdefault(id(rng), []).append((n, size, rest))
+        return dirichlet_flat_sample(n, rng, size=size, rest=rest)
+
+    monkeypatch.setattr(sd, "dirichlet_flat_sample", recorded)
+    return calls
+
+
+class TestLazyWeights:
+    """Rows drawn a chunk at a time, for the draws still alive, are still
+    flat Dirichlet."""
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_chunk_and_remainder_split_the_mass(self, variant):
+        # drawing the second chunk before any column is read sums the
+        # whole first chunk into the carry; the second chunk and the new
+        # unseen mass sum to the unseen mass they split.  A banks column
+        # also reads the gap weight after its point, one cell further
+        xs = np.arange(1.0, 301.0)
+        c = sd._WEIGHT_CHUNK
+        ready = c - (variant == BANKS)
+        lazy = sd._LazyRows(xs, variant, xs, np.random.default_rng(22), 500)
+        assert lazy.w.shape == (500, c + 1)
+        np.testing.assert_allclose(lazy.w.sum(axis=1), 1.0, rtol=1e-14)
+        first, mass = lazy.w[:, :-1].sum(axis=1), lazy.w[:, -1].copy()
+        assert lazy.ready == ready
+        assert lazy.advance(ready, xs.size) == ready + c
+        np.testing.assert_allclose(lazy.carry, first, rtol=1e-13)
+        assert lazy.w.shape == (500, c + 1)
+        np.testing.assert_allclose(lazy.w.sum(axis=1), mass, rtol=1e-13)
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_rows_across_three_chunks_are_flat_dirichlet(self, variant):
+        # the row of a sample at 1..300, read at its own points, is
+        # C[k] at point k, the sum of k of the row's flat weights, so
+        # Beta(k, cells - k); 128 and 256 end a chunk, 200 is mid-chunk
+        xs = np.arange(1.0, 301.0)
+        cells = xs.size + (variant == BANKS)
+        rows = _posterior_rows(xs, variant, np.random.default_rng(23), 4000, xs)
+        for k in (128, 200, 256):
+            assert stats.kstest(rows[:, k - 1], stats.beta(k, cells - k).cdf).pvalue > 1e-3
+
+    def test_survivors_draw_later_chunks_from_the_flat_dirichlet(self, monkeypatch):
+        # a reference that binds only at C[100], in the first chunk of a
+        # rubin row over 300 cells, and at C[280], in the third: about half
+        # the draws die at the first, and only the rest draw chunks two and
+        # three.  (C[100], C[280] - C[100]) comes from a flat Dirichlet
+        # over 300 cells, so given C[100] = u, (C[280] - u) / (1 - u) is
+        # Beta(180, 20)
+        calls = _recording_draws(monkeypatch)
+        xs = np.arange(1.0, 301.0)
+        b1, b2 = 1 / 3, 0.94
+
+        def ref(t):
+            return np.select([t == xs[99], t == xs[279]], [b1, b2], 1.0)
+
+        draws = 20_000
+        count = sd._dominated_count(xs, ref, None, RUBIN, draws, 0.0,
+                                    *sd._substreams(np.random.default_rng(24), 2))
+        exact = integrate.quad(lambda u: stats.beta.pdf(u, 100, 200)
+                               * stats.beta.cdf((b2 - u) / (1 - u), 180, 20), 0.0, b1)[0]
+        assert abs(count / draws - exact) < 4 * math.sqrt(exact * (1 - exact) / draws)
+        (chunks,) = calls.values()
+        assert [n for n, _, _ in chunks] == [128, 128, 44]
+        sizes = [size for _, size, _ in chunks]
+        assert sizes[0] == draws
+        assert 0.4 * draws < sizes[1] == sizes[2] < 0.6 * draws
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_draw_sizes_follow_the_alive_rows(self, monkeypatch, variant):
+        # each chunk is drawn for no more rows than the one before, and
+        # its cells and remainder split the cells the remainder held
+        calls = _recording_draws(monkeypatch)
+        x, y = _shifted_pair(1000, 0.9, 26)
+        posterior_prob_sd1(x, y, SdConfig(draws=2000, bootstrap=variant),
+                           np.random.default_rng(26))
+        assert len(calls) == 2
+        for chunks in calls.values():
+            sizes = [size for _, size, _ in chunks]
+            assert sizes[0] == 2000 and len(sizes) > 2
+            assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+            assert sizes[-1] < 2000
+            for (_, _, before), (n, _, rest) in zip(chunks, chunks[1:]):
+                assert n + rest == before
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_draws_that_die_in_the_first_chunk_draw_once(self, monkeypatch, variant):
+        # x's CDF climbs from its first point on while y's is still 0; the
+        # tiny tol keeps the zero-posterior screen off
+        calls = _recording_draws(monkeypatch)
+        x, y = np.linspace(0.0, 1.0, 300), np.linspace(0.5, 1.5, 300)
+        cfg = SdConfig(draws=2000, bootstrap=variant, tol=1e-9)
+        out = posterior_prob_sd1(x, y, cfg, np.random.default_rng(27))
+        assert out.estimate == 0.0
+        rest = 300 + (variant == BANKS) - 128
+        assert sorted(calls.values()) == [[(128, 2000, rest)]] * 2
+
+    def test_memory_follows_the_chunk(self):
+        # full weight rows of a 2000-draw banks posterior at n = 2500 are
+        # 38 MiB per sample; its lazy rows hold at most 2000 x 129
+        # weights, 2 MiB, per sample
+        x, y = fixed_design_sample(2500, 0.9)
+        tracemalloc.start()
+        try:
+            out = posterior_prob_sd1(x, y, SdConfig(draws=2000), np.random.default_rng(28))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < out.estimate < 1.0
+        assert peak < 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +465,33 @@ class TestPosteriorProbSd1:
             math.sqrt(out.estimate * (1 - out.estimate) / 400))
 
     @staticmethod
-    def _estimates_over_blocks(monkeypatch, x, opponent, draws):
-        # each sample's weight rows come off its own substream row-major,
-        # so the block size does not decide which weights a draw reads
+    def _estimates_over_chunk_cols(monkeypatch, x, opponent, draws):
+        # a sample's next weight chunk is drawn at the first column that
+        # reads it, whatever the walk's step, so the step does not decide
+        # which weights a draw reads; a step of 1 element per alive row is
+        # one column, and 10 ** 4 columns of 10 ** 9 elements walk from
+        # one weight chunk to the next
         out = set()
-        for block in (64, sd._BLOCK_ELEMS, 10 ** 9):
-            monkeypatch.setattr(sd, "_BLOCK_ELEMS", block)
+        for cols, elems in ((1, sd._STEP_ELEMS), (3, sd._STEP_ELEMS),
+                            (sd._CHUNK_COLS, sd._STEP_ELEMS), (sd._CHUNK_COLS, 1),
+                            (10 ** 4, 10 ** 9)):
+            monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
+            monkeypatch.setattr(sd, "_STEP_ELEMS", elems)
             out.add(posterior_prob_sd1(x, opponent, cfg=SdConfig(draws=draws),
                                        rng=np.random.default_rng(9)).estimate)
         return out
 
-    def test_blocking_invariant_for_reference_opponent(self, monkeypatch):
-        x, _ = fixed_design_sample(40, 0.6)
-        estimates = self._estimates_over_blocks(monkeypatch, x, UNIFORM01, 250)
-        assert len(estimates) == 1
+    def test_chunk_cols_invariant_for_reference_opponent(self, monkeypatch):
+        for n, h in ((40, 0.6), (300, 0.9)):
+            x, _ = fixed_design_sample(n, h)
+            estimates = self._estimates_over_chunk_cols(monkeypatch, x, UNIFORM01, 250)
+            assert len(estimates) == 1
+            assert 0.0 < estimates.pop() < 1.0
 
-    def test_blocking_invariant_for_sample_opponent(self, monkeypatch):
+    def test_chunk_cols_invariant_for_sample_opponent(self, monkeypatch):
         for n, h in ((40, 0.6), (300, 0.9)):
             x, y = _shifted_pair(n, h, n)
-            estimates = self._estimates_over_blocks(monkeypatch, x, y, 1500)
+            estimates = self._estimates_over_chunk_cols(monkeypatch, x, y, 1500)
             assert len(estimates) == 1
             assert 0.0 < estimates.pop() < 1.0
 
@@ -479,7 +616,7 @@ def _screen_off(monkeypatch):
 class TestZeroPosteriorScreen:
     @pytest.mark.parametrize("seed", range(3))
     def test_screen_counts_zero_without_drawing(self, monkeypatch, seed):
-        monkeypatch.setattr(sd, "_weight_rows", _never_draw)
+        monkeypatch.setattr(sd, "dirichlet_flat_sample", _never_draw)
         cases = _screened_cases(seed)
         assert {label for label, *_ in cases} == {"one_sample", "min", "max"}
         for _, x, opponent, variant, tol in cases:
@@ -692,9 +829,9 @@ for _n in (50, 300):
         PINNED_SAMPLES[f"fd{_n}_h{_h}"] = fixed_design_sample(_n, _h)
         PINNED_SAMPLES[f"su{_n}_h{_h}"] = _shifted_pair(_n, _h, _n + int(10 * _h))
 
-# Columns follow PINNED_ORDER.  The n = 300 samples take 15000 draws, which
-# span two _BLOCK_ELEMS blocks one-sample (300-point grid) and three
-# two-sample (600-point grid); the others take 2000.
+# Columns follow PINNED_ORDER.  The n = 300 samples take 15000 draws, and
+# their rows span three _WEIGHT_CHUNK chunks; the others take 2000, and
+# their rows are one chunk each.
 PINNED_ORDER = [(two, variant, tol) for two in (False, True)
                 for variant in (RUBIN, BANKS) for tol in (0.0, 0.05)]
 PINNED_SD1_COUNTS = {
@@ -708,16 +845,20 @@ PINNED_SD1_COUNTS = {
     "su50_h0.0": (0, 217, 0, 358, 0, 270, 0, 334),
     "fd50_h0.9": (1618, 1911, 1725, 1947, 1243, 1623, 1344, 1744),
     "su50_h0.9": (468, 996, 546, 1152, 632, 1113, 771, 1274),
-    "fd300_h0.0": (0, 11764, 0, 12155, 0, 8189, 0, 8763),
-    "su300_h0.0": (0, 6354, 0, 6877, 172, 11690, 470, 12126),
-    "fd300_h0.9": (12140, 14981, 12506, 14978, 8626, 14419, 9150, 14438),
-    "su300_h0.9": (8521, 14939, 9348, 14954, 5551, 14320, 6190, 14363),
+    "fd300_h0.0": (0, 11816, 0, 12172, 0, 8241, 0, 8607),
+    "su300_h0.0": (0, 6368, 0, 6862, 142, 11748, 439, 12064),
+    "fd300_h0.9": (12226, 14976, 12427, 14973, 8733, 14425, 9062, 14455),
+    "su300_h0.9": (8551, 14924, 9365, 14948, 5396, 14314, 6055, 14390),
 }
 
 # The counts the walk gave when X's and Y's weights shared the caller's
-# generator, X's block before Y's block, at the default _BLOCK_ELEMS.  Fed
-# one generator as both weight sources, the walk must still give them:
-# the re-roll changed where the weights come from, not the walk.
+# generator, X's weights before Y's.  Fed one generator as both weight
+# sources, the walk must still give them: the re-roll changed where the
+# weights come from, not the walk.  Each row of the n <= 50 samples is one
+# weight chunk, so X's chunk still comes wholly before Y's.  The n = 300
+# rows span three chunks, each drawn at the first column that reads it (X's
+# before Y's at one column), so their entries were re-pinned when the
+# weights became lazy.
 SHARED_STREAM_SD1_COUNTS = {
     "ties": (476, 746, 990, 1302, 914, 1121, 1062, 1285),
     "n1": (0, 2000, 0, 2000, 0, 105, 0, 121),
@@ -729,10 +870,10 @@ SHARED_STREAM_SD1_COUNTS = {
     "su50_h0.0": (0, 212, 0, 353, 0, 265, 0, 322),
     "fd50_h0.9": (1664, 1932, 1748, 1950, 1230, 1651, 1362, 1731),
     "su50_h0.9": (432, 1028, 551, 1169, 644, 1125, 752, 1206),
-    "fd300_h0.0": (0, 11775, 0, 12162, 0, 8208, 0, 8679),
-    "su300_h0.0": (0, 6429, 0, 6858, 157, 11836, 439, 12097),
-    "fd300_h0.9": (12150, 14970, 12497, 14979, 8668, 14409, 9136, 14493),
-    "su300_h0.9": (8573, 14921, 9410, 14947, 5557, 14291, 6079, 14378),
+    "fd300_h0.0": (0, 11770, 0, 12183, 0, 8328, 0, 8661),
+    "su300_h0.0": (0, 6284, 0, 6825, 159, 11740, 471, 12048),
+    "fd300_h0.9": (12211, 14972, 12448, 14979, 8732, 14386, 9098, 14472),
+    "su300_h0.9": (8559, 14932, 9330, 14943, 5466, 14256, 6034, 14388),
 }
 
 # (sample, n_boot, rng seed, p-value)
@@ -780,11 +921,15 @@ class TestPinnedOutputs:
     def test_dd_pvalues(self):
         assert _pinned_dd_pvalues() == [p for *_, p in PINNED_DD]
 
-    @pytest.mark.parametrize("cols", [1, 3, 10_000])
-    @pytest.mark.parametrize("name", [name for name in PINNED_SD1_COUNTS
-                                      if _pinned_draws(name) == 2000])
+    # the n = 300 rows span three weight chunks, each drawn at the first
+    # column that reads it; at 10_000 columns the walk's steps end only
+    # there (TestPosteriorProbSd1 takes n = 300 through 1 and 3 columns)
+    @pytest.mark.parametrize("name, cols", [
+        (name, cols) for name in PINNED_SD1_COUNTS
+        for cols in ([1, 3, 10_000] if _pinned_draws(name) == 2000 else [10_000])])
     def test_counts_ignore_chunk_width(self, monkeypatch, name, cols):
         monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
+        monkeypatch.setattr(sd, "_STEP_ELEMS", 10 ** 9)
         self.test_posterior_counts(name)
 
     @pytest.mark.parametrize("block", [1, 10 ** 8])
@@ -792,20 +937,18 @@ class TestPinnedOutputs:
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         self.test_dd_pvalues()
 
-    @pytest.mark.parametrize("block", [None, 10 ** 9])
+    @pytest.mark.parametrize("step", [None, 10 ** 9])
     @pytest.mark.parametrize("name", list(SHARED_STREAM_SD1_COUNTS))
-    def test_walk_unchanged_on_a_shared_stream(self, monkeypatch, name, block):
-        # block None keeps the default; 10 ** 9 puts every draw in one
-        # block, where X's and Y's blocks interleave as at the default only
-        # when the default already held every draw
+    def test_walk_unchanged_on_a_shared_stream(self, monkeypatch, name, step):
+        # step None keeps the default _STEP_ELEMS, which narrows the n = 300
+        # walks to 8 columns a step; 10 ** 9 gives every step _CHUNK_COLS
+        # columns, and the chunks must still come off the stream in the
+        # same order
+        if step is not None:
+            monkeypatch.setattr(sd, "_STEP_ELEMS", step)
         x, y = PINNED_SAMPLES[name]
         draws = _pinned_draws(name)
-        spans_blocks = draws > sd._BLOCK_ELEMS // (len(x) + len(y))
-        if block is not None:
-            monkeypatch.setattr(sd, "_BLOCK_ELEMS", block)
         for (two, variant, tol), want in zip(PINNED_ORDER, SHARED_STREAM_SD1_COUNTS[name]):
-            if block is not None and two and spans_blocks:
-                continue
             ref, ys = sd._as_opponent(y if two else UNIFORM01)
             shared = np.random.default_rng(7)
             assert sd._dominated_count(np.sort(x), ref, ys, variant, draws, tol,
