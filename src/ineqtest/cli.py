@@ -131,7 +131,7 @@ class RunConfig:
     """Options for one CLI invocation, and the one table of them:
     each field's flag (--name with - for _), config-file key, parser and
     place in config_hash come from its metadata.  Unset fields stay None;
-    each command fills them from _READS.  Hashed fields enter
+    main fills those its command reads from _READS.  Hashed fields enter
     config_hash in field order, so reordering them changes every hash."""
 
     command: str = _option(_choice(COMMANDS), "what to run (required here or in the "
@@ -230,16 +230,13 @@ class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
 
 
 def build_arg_parser():
-    schema_doc = """\
+    schemas = "\n".join(f"  {name + ':':<7} {', '.join(keys + floats)}"
+                        for name, (_, keys, floats) in _DISPATCH.items())
+    schema_doc = f"""\
 CSV schemas (columns never reordered; every float column X is followed by
 a full-precision companion X_full, and every row ends with master_seed and
 config_hash):
-  table1: h0, n, h, comparison, method, value
-  table2: h0, n, h, comparison, method, alpha, reps, rate, mc_se
-  table3: sigma_eps, alpha, reps, draws, rate, mc_se, monotonicity_rate
-  kline:  d, x_coordinate, posterior
-  sd-test: comparison, method, value
-  limit:  region, theta, alpha, method, value, mc_se
+{schemas}
 
 Region spec grammar:
   halfspace:c1,c2,...:c0   linear constraint c.theta <= c0
@@ -360,16 +357,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class TableResult:
-    """One command's output: ordered key columns, float columns, and rows
-    of plain python values."""
-
-    key_columns: tuple
-    float_columns: tuple
-    rows: tuple
-
-
 def _format_key(value):
     if isinstance(value, float):
         return repr(value)
@@ -378,47 +365,50 @@ def _format_key(value):
     return str(value)
 
 
-def render_csv(result: TableResult, cfg: RunConfig) -> str:
-    header = list(result.key_columns)
-    for col in result.float_columns:
+def render_csv(keys, floats, rows, cfg: RunConfig) -> str:
+    """A command's rows, plain python values keyed by column name, as CSV
+    with the key columns, then each float column, in the order given."""
+    header = list(keys)
+    for col in floats:
         header += [col, f"{col}_full"]
     header += ["master_seed", "config_hash"]
     digest = config_hash(cfg)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in result.rows:
-        out = [_format_key(row[col]) for col in result.key_columns]
-        for col in result.float_columns:
+    for row in rows:
+        out = [_format_key(row[col]) for col in keys]
+        for col in floats:
             out += [f"{row[col]:.3f}", repr(float(row[col]))]
         out += [str(cfg.seed), digest]
         writer.writerow(out)
     return buf.getvalue()
 
 
-def render_json(result: TableResult, cfg: RunConfig) -> str:
+def render_json(keys, floats, rows, cfg: RunConfig) -> str:
     digest = config_hash(cfg)
-    rows = []
-    for row in result.rows:
+    items = []
+    for row in rows:
         item = {col: (list(row[col]) if isinstance(row[col], tuple) else row[col])
-                for col in result.key_columns}
-        for col in result.float_columns:
+                for col in keys}
+        for col in floats:
             item[col] = float(row[col])
         item["master_seed"] = cfg.seed
         item["config_hash"] = digest
-        rows.append(item)
+        items.append(item)
     doc = {"command": cfg.command, "master_seed": cfg.seed,
            "config_hash": digest,
-           "key_columns": list(result.key_columns),
-           "float_columns": list(result.float_columns), "rows": rows}
+           "key_columns": list(keys),
+           "float_columns": list(floats), "rows": items}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def emit_table(result: TableResult, cfg: RunConfig):
-    """Renders and writes the result; errors if there is nothing to write."""
-    if not result.rows:
+def emit_table(keys, floats, rows, cfg: RunConfig):
+    """Renders and writes the rows; errors if there are none."""
+    if not rows:
         raise ValueError("empty result set, refusing to write")
-    text = render_csv(result, cfg) if cfg.format == "csv" else render_json(result, cfg)
+    render = render_csv if cfg.format == "csv" else render_json
+    text = render(keys, floats, rows, cfg)
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -451,10 +441,9 @@ def _load_sample(path):
     return data[:, 0]
 
 
-def cmd_table1(cfg: RunConfig) -> TableResult:
+def cmd_table1(cfg: RunConfig) -> list:
     from .stochastic_dominance import fixed_design_sample
 
-    cfg = _with_defaults(cfg)
     if min(cfg.n) < 2:
         raise ConfigError(f"table1 needs n >= 2 points per sample, got {min(cfg.n)}")
     sd_cfg = SdConfig(draws=cfg.draws, bootstrap=cfg.bootstrap, dd_boot=cfg.dd_boot)
@@ -490,12 +479,10 @@ def cmd_table1(cfg: RunConfig) -> TableResult:
     # every value reads its own stream, so each is a cell of its own
     for row, value in zip(rows, parallel_map(jobs, cfg.workers)):
         row["value"] = value
-    return TableResult(key_columns=("h0", "n", "h", "comparison", "method"),
-                       float_columns=("value",), rows=tuple(rows))
+    return rows
 
 
-def cmd_table2(cfg: RunConfig) -> TableResult:
-    cfg = _with_defaults(cfg)
+def cmd_table2(cfg: RunConfig) -> list:
     sd_cfg = SdConfig(draws=cfg.draws, bootstrap=cfg.bootstrap, dd_boot=cfg.dd_boot)
     plan = SeedPlan(cfg.seed)
     rows, jobs = [], []
@@ -517,13 +504,10 @@ def cmd_table2(cfg: RunConfig) -> TableResult:
             cell += 1
     for row, summary in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=summary.estimate, mc_se=summary.mc_se)
-    return TableResult(key_columns=("h0", "n", "h", "comparison", "method",
-                                    "alpha", "reps"),
-                       float_columns=("rate", "mc_se"), rows=tuple(rows))
+    return rows
 
 
-def cmd_table3(cfg: RunConfig) -> TableResult:
-    cfg = _with_defaults(cfg)
+def cmd_table3(cfg: RunConfig) -> list:
     n, *more = cfg.n
     if more:
         raise ConfigError("table3 takes a single --n")
@@ -541,24 +525,16 @@ def cmd_table3(cfg: RunConfig) -> TableResult:
     for row, res in zip(rows, parallel_map(jobs, cfg.workers)):
         row.update(rate=res.rejection.estimate, mc_se=res.rejection.mc_se,
                    monotonicity_rate=res.monotonicity_rate)
-    return TableResult(key_columns=("sigma_eps", "alpha", "reps", "draws"),
-                       float_columns=("rate", "mc_se", "monotonicity_rate"),
-                       rows=tuple(rows))
+    return rows
 
 
-def cmd_kline(cfg: RunConfig) -> TableResult:
-    cfg = _with_defaults(cfg)
+def cmd_kline(cfg: RunConfig) -> list:
     xq = std_normal_quantile(0.95)
-    rows = [dict(d=d, x_coordinate=xq,
-                 posterior=kline_orthant_posterior(np.full(d, xq)))
+    return [dict(d=d, x_coordinate=xq, posterior=kline_orthant_posterior(np.full(d, xq)))
             for d in cfg.n]
-    return TableResult(key_columns=("d",),
-                       float_columns=("x_coordinate", "posterior"),
-                       rows=tuple(rows))
 
 
-def cmd_sd_test(cfg: RunConfig) -> TableResult:
-    cfg = _with_defaults(cfg)
+def cmd_sd_test(cfg: RunConfig) -> list:
     if cfg.x_file is None:
         raise ConfigError("sd-test requires --x-file")
     x = _load_sample(cfg.x_file)
@@ -586,12 +562,10 @@ def cmd_sd_test(cfg: RunConfig) -> TableResult:
         dict(comparison=comparison, method="bayes_sd1", value=p_sd1),
         dict(comparison=comparison, method="bayes_non_sd1", value=1.0 - p_sd1),
     ]
-    return TableResult(key_columns=("comparison", "method"),
-                       float_columns=("value",), rows=tuple(rows))
+    return rows
 
 
-def cmd_limit(cfg: RunConfig) -> TableResult:
-    cfg = _with_defaults(cfg)
+def cmd_limit(cfg: RunConfig) -> list:
     if cfg.region is None:
         raise ConfigError("limit requires --region")
     region = parse_region(cfg.region)
@@ -605,16 +579,25 @@ def cmd_limit(cfg: RunConfig) -> TableResult:
     jobs = [partial(rejection_probability, region, np.asarray(theta), exp, alpha,
                     reps=cfg.reps, master_seed=plan.subplan(ai))
             for ai, alpha in enumerate(cfg.alpha)]
-    rows = [dict(region=cfg.region, theta=theta, alpha=alpha,
+    return [dict(region=cfg.region, theta=theta, alpha=alpha,
                  method="exact" if summary.exact else "mc",
                  value=summary.estimate, mc_se=summary.mc_se)
             for alpha, summary in zip(cfg.alpha, parallel_map(jobs, cfg.workers))]
-    return TableResult(key_columns=("region", "theta", "alpha", "method"),
-                       float_columns=("value", "mc_se"), rows=tuple(rows))
 
 
-_DISPATCH = {"table1": cmd_table1, "table2": cmd_table2, "table3": cmd_table3,
-             "kline": cmd_kline, "sd-test": cmd_sd_test, "limit": cmd_limit}
+# Each command's runner, which takes a config with its defaults filled and
+# returns its rows, then its key and float output columns.  --help's CSV
+# schemas and every emitted table's columns come from here.
+_DISPATCH = {
+    "table1": (cmd_table1, ("h0", "n", "h", "comparison", "method"), ("value",)),
+    "table2": (cmd_table2, ("h0", "n", "h", "comparison", "method", "alpha", "reps"),
+               ("rate", "mc_se")),
+    "table3": (cmd_table3, ("sigma_eps", "alpha", "reps", "draws"),
+               ("rate", "mc_se", "monotonicity_rate")),
+    "kline": (cmd_kline, ("d",), ("x_coordinate", "posterior")),
+    "sd-test": (cmd_sd_test, ("comparison", "method"), ("value",)),
+    "limit": (cmd_limit, ("region", "theta", "alpha", "method"), ("value", "mc_se")),
+}
 
 
 def main(argv=None) -> int:
@@ -627,9 +610,10 @@ def main(argv=None) -> int:
         # loaded before the pool forks, so the workers share one copy
         # instead of each loading its own; table3 needs no special function
         import scipy.special  # noqa: F401
+    run, keys, floats = _DISPATCH[cfg.command]
     try:
-        result = _DISPATCH[cfg.command](cfg)
-        emit_table(result, cfg)
+        # the run sees its command's defaults; the output hashes cfg as given
+        emit_table(keys, floats, run(_with_defaults(cfg)), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

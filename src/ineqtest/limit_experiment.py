@@ -408,12 +408,24 @@ def halfspace_rejection_prob_exact(region: HalfSpace, theta, exp: Experiment, al
     return float(1.0 - std_normal_cdf((region.c0 - region.c @ theta) / sd + z))
 
 
-def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws,
-                         plan) -> McSummary:
-    """Share of X ~ N(theta, Sigma) the test rejects.  Block b of
-    _REPS_PER_BLOCK replications draws its observations in one call on
-    plan.stream(b) and decides them with one comparison; regions without a
-    closed form take per-row Monte Carlo posteriors from the same stream."""
+def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
+                          draws=2000, master_seed=0, method="auto") -> McSummary:
+    """Frequentist rejection probability of the posterior test at theta.
+
+    method="auto" uses the exact formula for half-spaces, returned as an
+    exact summary, and falls back to Monte Carlo otherwise; method="mc"
+    forces simulation.  The Monte Carlo path is the share of X ~ N(theta,
+    Sigma) the test rejects: block b of _REPS_PER_BLOCK replications draws
+    its observations in one call on stream(b) of the seed plan and decides
+    them with one comparison; regions without a closed form take per-row
+    Monte Carlo posteriors from the same stream.  Results depend only on
+    the seed.
+    """
+    if method not in ("auto", "mc"):
+        raise ValueError("method must be 'auto' or 'mc'")
+    _check_dims(region, theta, exp)
+    if method == "auto" and isinstance(region, HalfSpace):
+        return McSummary(halfspace_rejection_prob_exact(region, theta, exp, alpha), 0)
     check_alpha(alpha)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
 
@@ -425,27 +437,9 @@ def _simulated_rejection(region, theta, exp: Experiment, alpha, reps, draws,
                                                    rng=rng).estimate for row in x])
         return post <= alpha
 
-    counts = run_replications(decide_block, reps, plan, _REPS_PER_BLOCK)
+    counts = run_replications(decide_block, reps, SeedPlan.coerce(master_seed),
+                              _REPS_PER_BLOCK)
     return McSummary(counts[0] / reps, reps)
-
-
-def rejection_probability(region, theta, exp: Experiment, alpha, reps=10_000,
-                          draws=2000, master_seed=0, method="auto") -> McSummary:
-    """Frequentist rejection probability of the posterior test at theta.
-
-    method="auto" uses the exact formula for half-spaces, returned as an
-    exact summary, and falls back to Monte Carlo otherwise; method="mc"
-    forces simulation.  The Monte Carlo path simulates X ~ N(theta, Sigma)
-    in fixed-size blocks on derived streams and applies the test, so
-    results depend only on the seed.
-    """
-    if method not in ("auto", "mc"):
-        raise ValueError("method must be 'auto' or 'mc'")
-    _check_dims(region, theta, exp)
-    if method == "auto" and isinstance(region, HalfSpace):
-        return McSummary(halfspace_rejection_prob_exact(region, theta, exp, alpha), 0)
-    return _simulated_rejection(region, theta, exp, alpha, reps, draws,
-                                SeedPlan.coerce(master_seed))
 
 
 @dataclass(frozen=True)
@@ -472,8 +466,9 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
 
     Grid points outside the region are tolerated (a closed null's boundary
     may sit in the closure only) and reported in ``closure_indices``.
-    Each point gets its own substream namespace, so adding points never
-    perturbs the others.
+    Each point's rejection probability comes from rejection_probability,
+    so a half-space's points are exact; each point gets its own substream
+    namespace, so adding points never perturbs the others.
     """
     grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in boundary_grid]
     if not grid:
@@ -482,7 +477,7 @@ def size_over_boundary(region, boundary_grid, exp: Experiment, alpha, reps=10_00
         _check_dims(region, t, exp)
     closure = tuple(j for j, t in enumerate(grid) if not region_membership(region, t))
     plan = SeedPlan.coerce(master_seed)
-    summaries = [_simulated_rejection(region, t, exp, alpha, reps, draws, plan.subplan(j))
+    summaries = [rejection_probability(region, t, exp, alpha, reps, draws, plan.subplan(j))
                  for j, t in enumerate(grid)]
     argmax = int(np.argmax([s.estimate for s in summaries]))
     thetas = tuple(tuple(float(v) for v in t) for t in grid)

@@ -572,6 +572,8 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     counts and uniforms do not depend on the stop, so the rows drawn are
     the first rows of the full p-value's.
     """
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
     if rng is None:
         rng = SeedPlan(0).stream(0)
     sub, = _substreams(rng, 1)

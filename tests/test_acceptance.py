@@ -17,7 +17,7 @@ from conftest import (
     oracle_is_nsd_eig,
     oracle_orthant_rp,
 )
-from ineqtest.cli import EXIT_OK, RunConfig, cmd_table2, cmd_table3, main
+from ineqtest.cli import EXIT_OK, RunConfig, _with_defaults, cmd_table2, cmd_table3, main
 from ineqtest.distributions import CovarianceMatrix, std_normal_quantile
 from ineqtest.limit_experiment import (
     Box,
@@ -153,6 +153,7 @@ T1_DRAWS_1S = {100: 150_000, 1000: 60_000}
 T1_DRAWS_2S = {100: 20_000, 1000: 20_000}
 
 
+@pytest.mark.slow
 def test_criterion_5_fixed_design_table():
     start = time.perf_counter()
     plan = SeedPlan(20260823)
@@ -236,13 +237,14 @@ T2_RATES = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_6_dominance_rejection_table():
     start = time.perf_counter()
-    result = cmd_table2(RunConfig(command="table2", seed=20260823, workers=4))
+    rows = cmd_table2(_with_defaults(RunConfig(command="table2", seed=20260823, workers=4)))
     elapsed = time.perf_counter() - start
 
     rates = {(r["h0"], r["n"], r["h"], r["comparison"], r["method"]): r["rate"]
-             for r in result.rows}
+             for r in rows}
     assert set(rates) == set(T2_RATES)
     failures = [f"{key}: got {rates[key]:.3f}, reference {want}"
                 for key, want in T2_RATES.items()
@@ -279,17 +281,17 @@ T3_RATES = {
 
 def test_criterion_7_curvature_rejection_table():
     start = time.perf_counter()
-    result = cmd_table3(RunConfig(command="table3", seed=20260823, workers=4))
+    table = cmd_table3(_with_defaults(RunConfig(command="table3", seed=20260823, workers=4)))
     elapsed = time.perf_counter() - start
 
-    rows = {(r["sigma_eps"], r["alpha"]): r for r in result.rows}
+    rows = {(r["sigma_eps"], r["alpha"]): r for r in table}
     assert set(rows) == set(T3_RATES)
 
     # the noise-free row cannot reject at all, and every least-squares
     # point estimate must be locally monotone
     for alpha in (0.05, 0.1):
         assert rows[(0.0, alpha)]["rate"] == 0.0
-    for r in result.rows:
+    for r in table:
         assert r["monotonicity_rate"] == 1.0
 
     failures = [f"sigma_eps={k[0]}, alpha={k[1]}: got {rows[k]['rate']:.3f}, "

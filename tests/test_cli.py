@@ -25,7 +25,6 @@ from ineqtest.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
-    TableResult,
     build_arg_parser,
     cmd_kline,
     cmd_limit,
@@ -287,6 +286,24 @@ class TestCommandFields:
             assert shown == want, flag
 
 
+def test_readme_command_table_matches_reads():
+    # README's "its own flags" table lists each command's flags in _READS order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("| command  | its own flags |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` *\|(.*)\|$", section, re.MULTILINE)
+    listed = [(command, re.findall(r"--[\w-]+", " ".join(re.findall(r"`([^`]*)`", flags))))
+              for command, flags in rows]
+    assert listed == [(command, [cli._flag(name) for name in table])
+                      for command, table in cli._READS.items()]
+
+
+def test_epilog_is_pinned():
+    # the CSV schema lines come from _DISPATCH; the digest pins them, with
+    # their alignment, as --help printed them when they were text
+    digest = hashlib.sha256(build_arg_parser().epilog.encode("utf-8")).hexdigest()
+    assert digest == "a5aa1b7c50d2849db1785978a9cd93d66ee84a792a44c911c742c15ba668a1af"
+
+
 @pytest.mark.parametrize("columns", ["80", "40"])
 def test_help_keeps_each_flag_on_one_line(monkeypatch, columns):
     # argparse reads the width from COLUMNS when it builds its formatter
@@ -359,17 +376,16 @@ class TestConfigHash:
 # renderers
 
 
-def tiny_result():
-    return TableResult(key_columns=("name", "knob"),
-                       float_columns=("value",),
-                       rows=(dict(name="alpha", knob=2, value=1.0 / 3.0),
-                             dict(name="beta", knob=3, value=0.125)))
+def tiny_table():
+    """Key columns, float columns and rows of a small table."""
+    return (("name", "knob"), ("value",),
+            [dict(name="alpha", knob=2, value=1.0 / 3.0), dict(name="beta", knob=3, value=0.125)])
 
 
 class TestRenderers:
     def test_csv_layout_and_full_precision(self):
         cfg = RunConfig(command="kline", seed=12)
-        text = render_csv(tiny_result(), cfg)
+        text = render_csv(*tiny_table(), cfg)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["name", "knob", "value", "value_full",
                            "master_seed", "config_hash"]
@@ -381,7 +397,7 @@ class TestRenderers:
 
     def test_json_round_trip_is_bit_exact(self):
         cfg = RunConfig(command="kline", seed=3)
-        doc = json.loads(render_json(tiny_result(), cfg))
+        doc = json.loads(render_json(*tiny_table(), cfg))
         assert doc["command"] == "kline"
         assert doc["master_seed"] == 3
         assert doc["rows"][0]["value"] == 1.0 / 3.0
@@ -389,15 +405,14 @@ class TestRenderers:
         assert doc["float_columns"] == ["value"]
 
     def test_emit_refuses_empty(self):
-        empty = TableResult(key_columns=("k",), float_columns=(), rows=())
         with pytest.raises(ValueError, match="empty"):
-            emit_table(empty, RunConfig(command="kline"))
+            emit_table(("k",), (), [], RunConfig(command="kline"))
 
     def test_emit_to_file_and_stdout(self, tmp_path, capsys):
         cfg_file = RunConfig(command="kline", out=str(tmp_path / "o.csv"))
-        emit_table(tiny_result(), cfg_file)
+        emit_table(*tiny_table(), cfg_file)
         on_disk = (tmp_path / "o.csv").read_text()
-        emit_table(tiny_result(), RunConfig(command="kline"))
+        emit_table(*tiny_table(), RunConfig(command="kline"))
         assert capsys.readouterr().out == on_disk
 
 
@@ -405,32 +420,37 @@ class TestRenderers:
 # commands
 
 
+def filled(**values):
+    """A config as main hands it to the command's runner: its defaults filled."""
+    return cli._with_defaults(RunConfig(**values))
+
+
 class TestCmdKline:
     def test_rows_and_values(self):
-        result = cmd_kline(RunConfig(command="kline"))
-        assert [r["d"] for r in result.rows] == [10, 25, 90]
-        assert result.rows[0]["x_coordinate"] == std_normal_quantile(0.95)
-        for row, want in zip(result.rows, (0.40, 0.72, 0.99)):
+        rows = cmd_kline(filled(command="kline"))
+        assert [r["d"] for r in rows] == [10, 25, 90]
+        assert rows[0]["x_coordinate"] == std_normal_quantile(0.95)
+        for row, want in zip(rows, (0.40, 0.72, 0.99)):
             assert row["posterior"] == pytest.approx(want, abs=0.005)
 
     def test_custom_dimensions(self):
-        result = cmd_kline(RunConfig(command="kline", n=(1,)))
-        assert result.rows[0]["posterior"] == pytest.approx(0.05, abs=1e-12)
+        rows = cmd_kline(filled(command="kline", n=(1,)))
+        assert rows[0]["posterior"] == pytest.approx(0.05, abs=1e-12)
 
 
 class TestCmdSdTest:
     def test_requires_x_file(self):
         with pytest.raises(ConfigError, match="x-file"):
-            cmd_sd_test(RunConfig(command="sd-test"))
+            cmd_sd_test(filled(command="sd-test"))
 
     def test_one_sample_methods(self, tmp_path):
         xp = tmp_path / "x.txt"
         xp.write_text("".join(f"{v}\n" for v in np.linspace(0.05, 1.05, 40)))
-        result = cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp),
-                                       draws=200))
-        methods = [r["method"] for r in result.rows]
+        rows = cmd_sd_test(filled(command="sd-test", x_file=str(xp),
+                                  draws=200))
+        methods = [r["method"] for r in rows]
         assert methods == ["ks", "iu_beta", "bayes_sd1", "bayes_non_sd1"]
-        by = {r["method"]: r["value"] for r in result.rows}
+        by = {r["method"]: r["value"] for r in rows}
         assert by["bayes_sd1"] + by["bayes_non_sd1"] == pytest.approx(1.0)
 
     def test_two_sample_methods(self, tmp_path):
@@ -438,16 +458,16 @@ class TestCmdSdTest:
         rng = np.random.default_rng(0)
         xp.write_text("".join(f"{v}\n" for v in rng.uniform(0.1, 1.1, 50)))
         yp.write_text("".join(f"{v}\n" for v in rng.uniform(0, 1, 50)))
-        result = cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp),
-                                       y_file=str(yp), draws=200))
-        methods = [r["method"] for r in result.rows]
+        rows = cmd_sd_test(filled(command="sd-test", x_file=str(xp),
+                                  y_file=str(yp), draws=200))
+        methods = [r["method"] for r in rows]
         assert methods == ["ks", "dd", "iu_maxt", "bayes_sd1", "bayes_non_sd1"]
 
     def test_bad_sample_file(self, tmp_path):
         xp = tmp_path / "x.txt"
         xp.write_text("1.0\nnot-a-number\n")
         with pytest.raises(ConfigError, match="newline-delimited"):
-            cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp)))
+            cmd_sd_test(filled(command="sd-test", x_file=str(xp)))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("which", ["x", "y"])
@@ -503,23 +523,22 @@ class TestCmdSdTest:
         xp = tmp_path / "x.txt"
         xp.write_text("0.3\nnan\n")
         with pytest.raises(ConfigError, match="non-finite"):
-            cmd_sd_test(RunConfig(command="sd-test", x_file=str(xp)))
+            cmd_sd_test(filled(command="sd-test", x_file=str(xp)))
 
 
 class TestCmdLimit:
     def test_requires_region(self):
         with pytest.raises(ConfigError, match="region"):
-            cmd_limit(RunConfig(command="limit"))
+            cmd_limit(filled(command="limit"))
 
     def test_theta_dimension_checked(self):
         with pytest.raises(ConfigError, match="theta"):
-            cmd_limit(RunConfig(command="limit", region="signagree",
-                                theta=(0.0, 0.0, 0.0)))
+            cmd_limit(filled(command="limit", region="signagree",
+                             theta=(0.0, 0.0, 0.0)))
 
     def test_halfspace_is_exact(self):
-        result = cmd_limit(RunConfig(command="limit", region="halfspace:1:0",
-                                     alpha=(0.05,), reps=10))
-        row = result.rows[0]
+        row, = cmd_limit(filled(command="limit", region="halfspace:1:0",
+                                alpha=(0.05,), reps=10))
         assert row["method"] == "exact"
         assert row["value"] == pytest.approx(0.05, abs=1e-12)
         assert row["mc_se"] == 0.0
@@ -543,9 +562,8 @@ class TestCmdLimit:
         assert outputs[0].count("\n") == 3
 
     def test_interval_runs_mc(self):
-        result = cmd_limit(RunConfig(command="limit", region="interval:[-1,0]",
-                                     alpha=(0.05,), reps=400))
-        row = result.rows[0]
+        row, = cmd_limit(filled(command="limit", region="interval:[-1,0]",
+                                alpha=(0.05,), reps=400))
         assert row["method"] == "mc"
         assert row["mc_se"] > 0.0
         assert 0.0 <= row["value"] <= 1.0
@@ -579,7 +597,7 @@ class TestMain:
     def test_unexpected_failure_maps_to_numerical_exit(self, monkeypatch, capsys):
         def boom(cfg):
             raise RuntimeError("synthetic failure")
-        monkeypatch.setitem(cli._DISPATCH, "kline", boom)
+        monkeypatch.setitem(cli._DISPATCH, "kline", (boom, *cli._DISPATCH["kline"][1:]))
         assert main(["--command", "kline"]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
@@ -669,7 +687,7 @@ class TestMain:
 
     def test_table3_takes_one_n(self, capsys):
         with pytest.raises(ConfigError, match="single --n"):
-            cmd_table3(RunConfig(command="table3", n=(50, 100)))
+            cmd_table3(filled(command="table3", n=(50, 100)))
         assert main(["--command", "table3", "--n", "50,100", "--reps", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 

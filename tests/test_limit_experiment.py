@@ -668,6 +668,18 @@ class TestSizeOverBoundary:
         with pytest.raises(ValueError):
             size_over_boundary(LowerHalfLine(0.0), [], Experiment.scalar(), 0.05)
 
+    @pytest.mark.parametrize("region,grid,exp", [
+        (LowerHalfLine(0.0), [[0.0]], Experiment.scalar()),
+        (HalfSpace(c=np.array([1.0, -2.0]), c0=0.5), [[0.5, 0.0], [2.5, 1.0], [-1.5, -1.0]],
+         Experiment.identity(2)),
+    ], ids=["half-line", "half-plane"])
+    def test_halfspace_boundary_is_exact(self, region, grid, exp):
+        # the half-space test has size alpha at every boundary point, exactly
+        out = size_over_boundary(region, grid, exp, alpha=0.05, reps=10_000, master_seed=1)
+        for summary in out.summaries:
+            assert summary.exact and summary.mc_se == 0.0
+            assert summary.estimate == pytest.approx(0.05, abs=1e-12)
+
 
 class TestDimensionMismatch:
     # broadcasting would fold the extra coordinates in and return a number

@@ -800,6 +800,13 @@ class TestDdPvalue:
         with pytest.raises(ValueError):
             dd_pvalue_nonsd1([], [1.0])
 
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_no_resamples_refused(self, n_boot):
+        # n_boot = 0 would return p = 1 from no resamples at all
+        x, y = fixed_design_sample(50, 1.3)
+        with pytest.raises(ValueError, match="n_boot must be >= 1"):
+            dd_pvalue_nonsd1(x, y, n_boot=n_boot)
+
 
 # ---------------------------------------------------------------------------
 # pinned posterior counts and dd p-values
