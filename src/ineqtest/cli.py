@@ -153,8 +153,9 @@ class RunConfig:
     delta: float = _option(_REAL, "curvature slack", "R")
     region: str = _option(_region_spec, "null region", "SPEC")
     theta: tuple = _option(_listed(_REAL), "parameter point; the origin when unset", "LIST")
-    workers: int = _option(_COUNT, "worker processes; only a table's cells run in "
-                           "parallel", "N", default=1, hashed=None)
+    workers: int = _option(_COUNT, "worker processes for a table's cells or sd-test's "
+                           "posterior draw blocks; output does not depend on it", "N",
+                           default=1, hashed=None)
     dd_boot: int = _option(_COUNT, "bootstrap replicates for the dd p-value", "N")
     x_file: str = _option(str, "newline-delimited sample", "PATH", hashed=_file_digest)
     y_file: str = _option(str, "optional second sample", "PATH", hashed=_file_digest)
@@ -542,7 +543,8 @@ def cmd_sd_test(cfg: RunConfig) -> list:
     plan = SeedPlan(cfg.seed)
     if cfg.y_file is None:
         comparison = "one_sample"
-        p_sd1 = posterior_prob_sd1(x, UNIFORM01, sd_cfg, plan.stream(0)).estimate
+        p_sd1 = posterior_prob_sd1(x, UNIFORM01, sd_cfg, plan.stream(0),
+                                   workers=cfg.workers).estimate
         rows = [
             dict(comparison=comparison, method="ks", value=ks_pvalue_sd1(x, UNIFORM01)),
             dict(comparison=comparison, method="iu_beta", value=iu_beta_pvalue_nonsd1(x)),
@@ -551,7 +553,7 @@ def cmd_sd_test(cfg: RunConfig) -> list:
         comparison = "two_sample"
         y = _load_sample(cfg.y_file)
         p_dd = dd_pvalue_nonsd1(x, y, n_boot=sd_cfg.dd_boot, rng=plan.stream(1))
-        p_sd1 = posterior_prob_sd1(x, y, sd_cfg, plan.stream(0)).estimate
+        p_sd1 = posterior_prob_sd1(x, y, sd_cfg, plan.stream(0), workers=cfg.workers).estimate
         rows = [
             dict(comparison=comparison, method="ks", value=ks_pvalue_sd1(x, y)),
             dict(comparison=comparison, method="dd", value=p_dd),

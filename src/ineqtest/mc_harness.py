@@ -9,10 +9,11 @@ block size.  ``run_replications`` returns those counts, and its callers
 report a column as an ``McSummary`` of count / reps over reps; a
 summary with reps 0 is a closed-form value instead.
 
-``parallel_map`` is the one parallel code path: the cells of a table run
-in forked worker processes, since the kernels' many short numpy calls
-hold the GIL and threads barely overlap them.  A cell's replications run
-serially inside its worker.
+``parallel_map`` is the one parallel code path: the cells of a table,
+or the draw blocks of sd-test's posterior, run in forked worker
+processes, since the kernels' many short numpy calls hold the GIL and
+threads barely overlap them.  A cell's replications run serially inside
+its worker.
 """
 
 from __future__ import annotations

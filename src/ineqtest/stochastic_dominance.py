@@ -24,7 +24,8 @@ import numpy as np
 
 from .distributions import (beta_cdf, beta_quantile, dirichlet_flat_sample,
                             std_normal_cdf)
-from .mc_harness import McSummary, SeedPlan, check_alpha, run_replications
+from .mc_harness import (McSummary, SeedPlan, check_alpha, parallel_map,
+                         run_replications)
 
 RUBIN = "rubin"
 BANKS = "banks"
@@ -102,7 +103,8 @@ def fixed_design_sample(n, h):
 
 @dataclass(frozen=True)
 class _RowTable:
-    """Where each point of a sorted grid reads a bootstrap CDF row.
+    """Where each point of a sorted grid reads a bootstrap CDF row of
+    ``cells`` weights (n under rubin, n + 1 under banks).
 
     With C[k] the running sum of a row's first k weights, grid column j
     reads 0 for j < lo, exactly 1 for j >= hi (from the sample max on,
@@ -118,6 +120,7 @@ class _RowTable:
     frac: np.ndarray | None
     lo: int
     hi: int
+    cells: int
 
 
 def _row_table(sorted_sample, variant, grid):
@@ -127,13 +130,13 @@ def _row_table(sorted_sample, variant, grid):
     lo = int(np.searchsorted(seg, 0, side="right"))
     hi = int(np.searchsorted(seg, n, side="left"))
     if variant == RUBIN:
-        return _RowTable(k=seg, frac=None, lo=lo, hi=hi)
+        return _RowTable(k=seg, frac=None, lo=lo, hi=hi, cells=n)
     k = seg[lo:hi]
     width = xs[k] - xs[k - 1]
     frac = np.where(width > 0, (grid[lo:hi] - xs[k - 1]) / np.where(width > 0, width, 1.0), 1.0)
     padded = np.zeros(grid.size)
     padded[lo:hi] = frac
-    return _RowTable(k=seg, frac=padded, lo=lo, hi=hi)
+    return _RowTable(k=seg, frac=padded, lo=lo, hi=hi, cells=n + 1)
 
 
 # weights a sample's rows draw per step, for the draws still alive: the
@@ -144,10 +147,20 @@ def _row_table(sorted_sample, variant, grid):
 _WEIGHT_CHUNK = 128
 # grid columns evaluated per step of the dominance walk, at most, and alive
 # rows x columns per step, at most (down to one column), which bounds the
-# step's temporaries when a posterior has many draws; output depends on
-# neither
+# step's temporaries when a walk has many draws; output depends on
+# neither.  A posterior's blocks are too small for _STEP_ELEMS to narrow
+# a step
 _CHUNK_COLS = 64
 _STEP_ELEMS = 1 << 17
+# posterior draws per block, at most: posterior_prob_sd1 walks its draws
+# in consecutive blocks, each on substreams of its own, and adds up their
+# counts.  Part of the sampling scheme, like _WEIGHT_CHUNK and
+# _BATCH_DRAWS: a draw's weights depend on its block, so changing it
+# re-rolls every posterior of more draws than it.  It is at least
+# _BATCH_DRAWS, so that each batch of a simulated Bayesian replication is
+# one block.  One block's rows per sample are all a posterior holds at
+# once, which bounds its memory whatever its draws
+_POSTERIOR_BLOCK = 500
 
 
 def _running_sums(carry, w):
@@ -180,16 +193,15 @@ class _LazyRows:
     their exponentials row-major, then their gammas.
     """
 
-    def __init__(self, sorted_sample, variant, grid, rng, draws):
-        self.table = _row_table(sorted_sample, variant, grid)
-        self.cells = sorted_sample.size + (variant == BANKS)
+    def __init__(self, table, rng, draws):
+        self.table = table
         self.rng = rng
         self.carry = np.zeros(draws)
         self.pos = self.drawn = 0
         self._draw()
 
     def _draw(self):
-        r = self.cells - self.drawn
+        r = self.table.cells - self.drawn
         c = min(_WEIGHT_CHUNK, r)
         e = dirichlet_flat_sample(c, self.rng, size=self.carry.size, rest=r - c)
         if self.drawn:
@@ -296,6 +308,15 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     Samples that _zero_posterior screens out count 0 before any weight is
     drawn.
     """
+    walk = _walk_setup(xs, ref, ys, variant, tol)
+    return 0 if walk is None else _walk_count(*walk, tol, draws, rx, ry)
+
+
+def _walk_setup(xs, ref, ys, variant, tol):
+    """What every walk over ``xs`` against ``ref`` or ``ys`` shares:
+    (grid, fixed_bound, tables), the pooled grid, ref + tol on it against
+    a reference (None against a sample), and each sample's _RowTable.
+    None when _zero_posterior screens the posterior out."""
     if ys is None:
         grid = xs
         fixed_bound = np.asarray(ref(grid), dtype=float) + tol
@@ -303,10 +324,13 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
         grid = np.sort(np.concatenate([xs, ys]))
         fixed_bound = None
     if _zero_posterior(xs, fixed_bound, ys, tol):
-        return 0
-    samples = [_LazyRows(xs, variant, grid, rx, draws)]
-    if ys is not None:
-        samples.append(_LazyRows(ys, variant, grid, ry, draws))
+        return None
+    return grid, fixed_bound, [_row_table(s, variant, grid) for s in (xs, ys) if s is not None]
+
+
+def _walk_count(grid, fixed_bound, tables, tol, draws, rx, ry):
+    """_dominated_count's walk, on the set-up _walk_setup gives."""
+    samples = [_LazyRows(table, rng, draws) for table, rng in zip(tables, (rx, ry))]
     j0 = 0
     while j0 < grid.size:
         alive = samples[0].carry.size
@@ -314,7 +338,7 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
         for sample in samples:
             j1 = sample.advance(j0, j1)
         f = [sample.columns(j0, j1) for sample in samples]
-        if ys is None:
+        if fixed_bound is not None:
             bound = fixed_bound[j0:j1]
         else:
             bound = f[1]
@@ -341,7 +365,8 @@ def _as_opponent(opponent):
     return None, _sorted_sample(opponent)
 
 
-def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None) -> McSummary:
+def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
+                       workers=1) -> McSummary:
     """Posterior probability that X's CDF dominates the opponent.
 
     ``opponent`` is a reference CDF, given as a function that maps an array
@@ -351,23 +376,48 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None)
     Against an opponent sample, both CDFs get independent posterior draws
     per iteration.
 
-    X's weights come from one PCG64 substream of ``rng`` and the opponent
-    sample's from a second (see _substreams), so ``rng`` must be built on
-    a SeedSequence, as SeedPlan streams and np.random.default_rng are.
-    ``rng``'s bit generator is not advanced, whatever the draws, and a
-    second call on it draws fresh weights.  Each substream is read chunk
-    by chunk, and a draw that violates dominance draws no later chunk
-    (see _LazyRows), so which weights a draw gets depends on
-    _WEIGHT_CHUNK; on a sample of at most _WEIGHT_CHUNK cells (n under
-    rubin, n + 1 under banks) each draw's weights are one
-    dirichlet_flat_sample row.
+    The draws are walked in consecutive blocks of _POSTERIOR_BLOCK (500),
+    the last one short, each a _dominated_count walk of its own, and the
+    blocks' counts add up to the posterior's.  X's weights come from PCG64
+    substreams of ``rng`` and the opponent sample's from others (see
+    _substreams), so ``rng`` must be built on a SeedSequence, as SeedPlan
+    streams and np.random.default_rng are.  The call spawns two children
+    of ``rng``'s SeedSequence, whatever the draws, and leaves its bit
+    generator as it is, so a second call on it draws fresh weights.
+    Block 0 reads those two children; block b >= 1 reads the (b - 1)-th
+    child spawned from each of them.  So a posterior of at most 500 draws
+    is one _dominated_count walk on _substreams(rng, 2), and each block's
+    weights depend on the block structure alone.
+
+    ``workers`` runs the blocks in at most that many forked processes (see
+    mc_harness.parallel_map).  The blocks and their streams do not depend
+    on it, and their counts are exact integer sums, so neither does the
+    result.  A posterior that _zero_posterior screens out counts 0 before
+    any block is made or any process started.
+
+    Each substream is read chunk by chunk, and a draw that violates
+    dominance draws no later chunk (see _LazyRows), so which weights a
+    draw gets depends on _WEIGHT_CHUNK; on a sample of at most
+    _WEIGHT_CHUNK cells (n under rubin, n + 1 under banks) each draw's
+    weights are one dirichlet_flat_sample row.  A block's rows, at most
+    500 per sample, are all the weights a walk holds at once; beyond them
+    a posterior holds only its blocks' substreams, about a kilobyte per
+    block.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)
     rx, ry = _substreams(rng, 2)
     x = _sorted_sample(x_sample)
     ref, ys = _as_opponent(opponent)
-    count = _dominated_count(x, ref, ys, cfg.bootstrap, cfg.draws, cfg.tol, rx, ry)
+    walk = _walk_setup(x, ref, ys, cfg.bootstrap, cfg.tol)
+    count = 0
+    if walk is not None:
+        sizes = [min(_POSTERIOR_BLOCK, cfg.draws - first)
+                 for first in range(0, cfg.draws, _POSTERIOR_BLOCK)]
+        streams = zip([rx, *_substreams(rx, len(sizes) - 1)],
+                      [ry, *_substreams(ry, len(sizes) - 1)])
+        count = sum(parallel_map([functools.partial(_walk_count, *walk, cfg.tol, draws, bx, by)
+                                  for draws, (bx, by) in zip(sizes, streams)], workers))
     return McSummary(count / cfg.draws, cfg.draws)
 
 

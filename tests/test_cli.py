@@ -749,20 +749,21 @@ LIMIT_GOLDEN_SHA256 = {
 # y; and of default `kline`.  Recorded while the one-sample reference was
 # still a CDF object with an evaluate method; the two-sample entries were
 # re-recorded when the dd bootstrap began drawing binomial split-point
-# counts.
+# counts, and the x entries when posteriors were cut into 500-draw blocks
+# (the y entries' posteriors are screened out, so they did not move).
 SD_TEST_GOLDEN_SHA256 = {
     ("x", "banks"):
-        "12b532d644eda5eebbb25488c6a249d1c403cb90cc1543b95e4fdeaed7922f41",
+        "6ff41da9173980d130a43347a9878d53c23568463b4d68f9b86e7e6563831217",
     ("x", "rubin"):
-        "cf4ca12f28912005ba81f9934cd8022b03bc8594ae2c322c3bf9cd8b743689e8",
+        "5747d9cd367b99de7d6e0a6b547a104d1e627e995eb23a4a65ea823ba3bc8116",
     ("y", "banks"):
         "d0c0448c433a07cb5b781d4a82cf116c168835d3c88950ee921af748f03d9a74",
     ("y", "rubin"):
         "9b78dd446cd39420f7583f6c7380ad06ebad6840efafd3adf0ba446173beacfe",
     ("x,y", "banks"):
-        "f3ca35cd519eee9de385bfe4f01abf4321d2facc4ce2310d34be84084762862b",
+        "88111928efa46b55c4d57818635c1a7dfc9a3d31f103a0debf76cf8da9325130",
     ("x,y", "rubin"):
-        "4b41bdc832290cdc8845427849291b03bfc7b9068a85a4f3ef0d0e523e93457e",
+        "3d5ce552564b65825f459df404238f5e7b2458f7e04827cbde2086bc87510004",
 }
 KLINE_GOLDEN_SHA256 = "23b2b9f1abce706cf0b40ecef49fe2abe5ecd712ffa16db209d1c9545d7222ae"
 # sha256 of the `--format json` stdout of a simulated and an exact limit
@@ -949,16 +950,35 @@ def test_piped_stdout_identical_across_workers(argv):
 
 @pytest.mark.parametrize("two_sample", [False, True])
 def test_piped_sd_test_identical_across_workers(tmp_path, two_sample):
+    # the default 2000 draws are four posterior blocks, spread over the
+    # worker processes
     xp, yp = _sample_files(tmp_path, n=400)
     argv = ["--command", "sd-test", "--x-file", xp] + (["--y-file", yp] if two_sample else [])
     outputs = []
-    for workers in ("1", "2", "4"):
+    for workers in ("1", "2", "3", "4"):
         proc = _python("-m", "ineqtest.cli", *argv, "--workers", workers)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == b""
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert outputs[0].count(b"\n") == (6 if two_sample else 5)
+
+
+@pytest.mark.parametrize("two_sample", [False, True])
+def test_sd_test_spreads_its_posterior_blocks(monkeypatch, capsys, tmp_path, two_sample):
+    runs = []
+    run_blocks = sd.parallel_map
+
+    def recorded(jobs, workers=1):
+        runs.append((len(jobs), workers))
+        return run_blocks(jobs, workers)
+
+    monkeypatch.setattr(sd, "parallel_map", recorded)
+    xp, yp = _sample_files(tmp_path, n=400)
+    argv = ["--command", "sd-test", "--x-file", xp, "--workers", "2"]
+    assert main(argv + (["--y-file", yp] if two_sample else [])) == EXIT_OK
+    assert runs == [(4, 2)]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -990,7 +1010,8 @@ def _lazy_modules_loaded(call, module="ineqtest.cli"):
 
 
 def test_two_sample_sd_test_runs_in_one_process(tmp_path):
-    # only a table's cells run in worker processes; sd-test ignores --workers
+    # a posterior of one 500-draw block starts no pool, so this sd-test runs
+    # in its own process at any worker count
     xp, yp = _sample_files(tmp_path)
     call = (f"ineqtest.cli.main(['--command', 'sd-test', '--x-file', {xp!r}, "
             f"'--y-file', {yp!r}, '--dd-boot', '49', '--draws', '200', '--workers', '2'])")

@@ -170,7 +170,7 @@ def _posterior_rows(sample, variant, rng, draws, grid):
     with no draw dropped."""
     xs = np.sort(np.asarray(sample, dtype=float))
     grid = np.asarray(grid, dtype=float)
-    lazy = sd._LazyRows(xs, variant, grid, rng, draws)
+    lazy = sd._LazyRows(sd._row_table(xs, variant, grid), rng, draws)
     cols, j0 = [], 0
     while j0 < grid.size:
         j1 = lazy.advance(j0, grid.size)
@@ -183,7 +183,7 @@ def _first_weights(sample, variant, seed, draws):
     """The weights the lazy rows of ``sample`` draw before the walk: the
     whole rows, for a sample of at most _WEIGHT_CHUNK cells."""
     xs = np.sort(np.asarray(sample, dtype=float))
-    return sd._LazyRows(xs, variant, xs, np.random.default_rng(seed), draws).w
+    return sd._LazyRows(sd._row_table(xs, variant, xs), np.random.default_rng(seed), draws).w
 
 
 class TestBbDraw:
@@ -316,7 +316,7 @@ class TestLazyWeights:
         xs = np.arange(1.0, 301.0)
         c = sd._WEIGHT_CHUNK
         ready = c - (variant == BANKS)
-        lazy = sd._LazyRows(xs, variant, xs, np.random.default_rng(22), 500)
+        lazy = sd._LazyRows(sd._row_table(xs, variant, xs), np.random.default_rng(22), 500)
         assert lazy.w.shape == (500, c + 1)
         np.testing.assert_allclose(lazy.w.sum(axis=1), 1.0, rtol=1e-14)
         first, mass = lazy.w[:, :-1].sum(axis=1), lazy.w[:, -1].copy()
@@ -365,37 +365,40 @@ class TestLazyWeights:
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_draw_sizes_follow_the_alive_rows(self, monkeypatch, variant):
-        # each chunk is drawn for no more rows than the one before, and
-        # its cells and remainder split the cells the remainder held
+        # in each 500-draw block of a 2000-draw posterior, each chunk is
+        # drawn for no more rows than the one before, and its cells and
+        # remainder split the cells the remainder held
         calls = _recording_draws(monkeypatch)
         x, y = _shifted_pair(1000, 0.9, 26)
         posterior_prob_sd1(x, y, SdConfig(draws=2000, bootstrap=variant),
                            np.random.default_rng(26))
-        assert len(calls) == 2
+        # one generator per sample and block
+        assert len(calls) == 2 * 4
         for chunks in calls.values():
             sizes = [size for _, size, _ in chunks]
-            assert sizes[0] == 2000 and len(sizes) > 2
+            assert sizes[0] == sd._POSTERIOR_BLOCK and len(sizes) > 2
             assert all(b <= a for a, b in zip(sizes, sizes[1:]))
-            assert sizes[-1] < 2000
+            assert sizes[-1] < sd._POSTERIOR_BLOCK
             for (_, _, before), (n, _, rest) in zip(chunks, chunks[1:]):
                 assert n + rest == before
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_draws_that_die_in_the_first_chunk_draw_once(self, monkeypatch, variant):
         # x's CDF climbs from its first point on while y's is still 0; the
-        # tiny tol keeps the zero-posterior screen off
+        # tiny tol keeps the zero-posterior screen off.  Each sample draws
+        # one chunk in each of the four blocks
         calls = _recording_draws(monkeypatch)
         x, y = np.linspace(0.0, 1.0, 300), np.linspace(0.5, 1.5, 300)
         cfg = SdConfig(draws=2000, bootstrap=variant, tol=1e-9)
         out = posterior_prob_sd1(x, y, cfg, np.random.default_rng(27))
         assert out.estimate == 0.0
         rest = 300 + (variant == BANKS) - 128
-        assert sorted(calls.values()) == [[(128, 2000, rest)]] * 2
+        assert sorted(calls.values()) == [[(128, sd._POSTERIOR_BLOCK, rest)]] * 8
 
     def test_memory_follows_the_chunk(self):
         # full weight rows of a 2000-draw banks posterior at n = 2500 are
-        # 38 MiB per sample; its lazy rows hold at most 2000 x 129
-        # weights, 2 MiB, per sample
+        # 38 MiB per sample; its lazy rows hold at most 500 x 129 weights,
+        # 0.5 MiB, per sample
         x, y = fixed_design_sample(2500, 0.9)
         tracemalloc.start()
         try:
@@ -405,6 +408,92 @@ class TestLazyWeights:
             tracemalloc.stop()
         assert 0.0 < out.estimate < 1.0
         assert peak < 20 * 2 ** 20
+
+    def test_memory_does_not_grow_with_the_draws(self):
+        # the rows of 10 ** 5 banks draws at n = 50 (51 cells, one chunk) are
+        # 39 MiB per sample when drawn at once; walked 500 draws at a time
+        # they are 0.2 MiB.  Three quarters of the draws die on the way
+        x, y = fixed_design_sample(50, 0.0)
+        cfg = SdConfig(draws=100_000, bootstrap=BANKS, tol=0.05)
+        tracemalloc.start()
+        try:
+            out = posterior_prob_sd1(x, y, cfg, np.random.default_rng(29))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < out.estimate < 1.0
+        assert peak < 8 * 2 ** 20
+
+
+class TestPosteriorBlocks:
+    """A posterior is the sum of fixed blocks of draws, each a walk on
+    substreams of its own, wherever the blocks run."""
+
+    def test_every_table2_batch_is_one_block(self):
+        assert sd._POSTERIOR_BLOCK >= sd._BATCH_DRAWS
+
+    @pytest.mark.parametrize("draws", [1, 300, 500])
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_one_block_is_one_walk_on_the_two_substreams(self, two_sample, draws):
+        x, y = fixed_design_sample(40, 0.6)
+        opponent = y if two_sample else UNIFORM01
+        ref, ys = sd._as_opponent(opponent)
+        out = posterior_prob_sd1(x, opponent, SdConfig(draws=draws),
+                                 np.random.default_rng(30))
+        count = sd._dominated_count(x, ref, ys, BANKS, draws, 0.0,
+                                    *sd._substreams(np.random.default_rng(30), 2))
+        assert out.estimate == count / draws
+
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_blocks_read_children_of_the_two_substreams(self, two_sample):
+        # 1001 draws are blocks of 500, 500 and 1; block 0 reads the two
+        # children of the caller's SeedSequence, block b >= 1 the (b - 1)-th
+        # child of each of those
+        x, y = fixed_design_sample(40, 0.6)
+        opponent = y if two_sample else UNIFORM01
+        ref, ys = sd._as_opponent(opponent)
+        out = posterior_prob_sd1(x, opponent, SdConfig(draws=1001),
+                                 np.random.default_rng(31))
+        seqs = np.random.default_rng(31).bit_generator.seed_seq.spawn(2)
+        children = [seq.spawn(2) for seq in seqs]
+        streams = [seqs] + [[kids[b] for kids in children] for b in range(2)]
+        count = sum(sd._dominated_count(x, ref, ys, BANKS, draws, 0.0,
+                                        *[np.random.Generator(np.random.PCG64(seq))
+                                          for seq in pair])
+                    for draws, pair in zip((500, 500, 1), streams))
+        assert out.estimate * 1001 == count
+        assert 0 < count < 1001
+
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_workers_do_not_change_the_count(self, monkeypatch, two_sample):
+        # four blocks of 500 draws on two worker processes
+        runs = []
+        run_blocks = sd.parallel_map
+
+        def recorded(jobs, workers=1):
+            runs.append((len(jobs), workers))
+            return run_blocks(jobs, workers)
+
+        monkeypatch.setattr(sd, "parallel_map", recorded)
+        x, y = fixed_design_sample(300, 0.9)
+        opponent = y if two_sample else UNIFORM01
+        serial, parallel = (posterior_prob_sd1(x, opponent, SdConfig(draws=2000),
+                                               np.random.default_rng(32), workers=workers)
+                            for workers in (1, 2))
+        assert serial == parallel
+        assert 0.0 < serial.estimate < 1.0
+        assert runs == [(4, 1), (4, 2)]
+
+    def test_screened_posterior_starts_no_pool(self, monkeypatch):
+        # x lies wholly below y at tol 0, so the screen gives 0 before any
+        # block is made
+        def no_blocks(jobs, workers=1):
+            raise AssertionError("blocks made for a screened posterior")
+
+        monkeypatch.setattr(sd, "parallel_map", no_blocks)
+        out = posterior_prob_sd1([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], SdConfig(draws=2000),
+                                 np.random.default_rng(33), workers=2)
+        assert out.estimate == 0.0 and out.reps == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +901,9 @@ class TestDdPvalue:
 # pinned posterior counts and dd p-values
 #
 # Exact outputs of the current sampling scheme: PCG64 substreams spawned
-# from the caller's generator, one per sample.  Any change to the weights
-# drawn, their order, or the CDF arithmetic moves at least one of these
-# counts.
+# from the caller's generator, one per sample and posterior block.  Any
+# change to the weights drawn, their order, or the CDF arithmetic moves at
+# least one of these counts.
 
 
 def _shifted_pair(n, h, seed):
@@ -838,24 +927,25 @@ for _n in (50, 300):
 
 # Columns follow PINNED_ORDER.  The n = 300 samples take 15000 draws, and
 # their rows span three _WEIGHT_CHUNK chunks; the others take 2000, and
-# their rows are one chunk each.
+# their rows are one chunk each.  Every posterior here spans several
+# _POSTERIOR_BLOCK blocks.
 PINNED_ORDER = [(two, variant, tol) for two in (False, True)
                 for variant in (RUBIN, BANKS) for tol in (0.0, 0.05)]
 PINNED_SD1_COUNTS = {
-    "ties": (467, 755, 979, 1278, 938, 1165, 1050, 1257),
-    "n1": (0, 2000, 0, 2000, 0, 105, 0, 133),
-    "n1_opp": (0, 690, 0, 1194, 0, 95, 0, 215),
-    "n2": (0, 1355, 0, 1801, 988, 1083, 1426, 1520),
+    "ties": (511, 767, 978, 1287, 937, 1184, 1033, 1236),
+    "n1": (0, 2000, 0, 2000, 0, 107, 0, 153),
+    "n1_opp": (0, 681, 0, 1156, 0, 112, 0, 228),
+    "n2": (0, 1315, 0, 1778, 1005, 1086, 1378, 1472),
     "sep_high": (2000, 2000, 2000, 2000, 2000, 2000, 2000, 2000),
     "sep_low": (0, 0, 0, 0, 0, 0, 0, 0),
-    "fd50_h0.0": (0, 427, 0, 654, 0, 286, 0, 434),
-    "su50_h0.0": (0, 217, 0, 358, 0, 270, 0, 334),
-    "fd50_h0.9": (1618, 1911, 1725, 1947, 1243, 1623, 1344, 1744),
-    "su50_h0.9": (468, 996, 546, 1152, 632, 1113, 771, 1274),
-    "fd300_h0.0": (0, 11816, 0, 12172, 0, 8241, 0, 8607),
-    "su300_h0.0": (0, 6368, 0, 6862, 142, 11748, 439, 12064),
-    "fd300_h0.9": (12226, 14976, 12427, 14973, 8733, 14425, 9062, 14455),
-    "su300_h0.9": (8551, 14924, 9365, 14948, 5396, 14314, 6055, 14390),
+    "fd50_h0.0": (0, 465, 0, 672, 0, 310, 0, 440),
+    "su50_h0.0": (0, 225, 0, 339, 0, 297, 0, 338),
+    "fd50_h0.9": (1657, 1923, 1721, 1950, 1252, 1646, 1337, 1728),
+    "su50_h0.9": (491, 1060, 531, 1126, 690, 1127, 770, 1226),
+    "fd300_h0.0": (0, 11798, 0, 12082, 0, 8372, 0, 8683),
+    "su300_h0.0": (0, 6468, 0, 6957, 166, 11835, 444, 12080),
+    "fd300_h0.9": (12120, 14985, 12425, 14987, 8743, 14431, 9187, 14492),
+    "su300_h0.9": (8541, 14934, 9304, 14956, 5595, 14251, 6114, 14375),
 }
 
 # The counts the walk gave when X's and Y's weights shared the caller's
