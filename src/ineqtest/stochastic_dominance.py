@@ -164,13 +164,13 @@ _POSTERIOR_BLOCK = 500
 
 
 def _running_sums(carry, w):
-    """[carry, carry + w[:, 0], carry + w[:, 0] + w[:, 1], ...] per row:
-    the running sum extended by a sequential cumsum, so every value is the
-    same float a cumsum over the whole row gives."""
-    cum = np.empty((carry.size, w.shape[1] + 1))
-    cum[:, 0] = carry
-    cum[:, 1:] = w
-    return np.cumsum(cum, axis=1, out=cum)
+    """[carry, carry + w[0], carry + w[0] + w[1], ...] per draw (column):
+    the running sum extended by a sequential cumsum down the cells, so
+    every value is the same float a cumsum over the whole row gives."""
+    cum = np.empty((w.shape[0] + 1, carry.size))
+    cum[0] = carry
+    cum[1:] = w
+    return np.cumsum(cum, axis=0, out=cum)
 
 
 class _LazyRows:
@@ -178,19 +178,28 @@ class _LazyRows:
     posterior draws still alive, with the Dirichlet weights drawn a chunk
     at a time.
 
-    A row holds its running sum C[pos] (``carry``) and, in ``w``, the
-    weights of cells [pos, drawn), drawn but not yet summed, followed,
-    while cells remain unseen, by their total mass.  With r cells unseen,
-    the next chunk of c = min(_WEIGHT_CHUNK, r) weights and the new unseen
-    mass are the old mass times a Dirichlet(1, ..., 1, r - c) draw
-    (normalized, then scaled), so every assembled row is flat Dirichlet.
+    The draws run along the last axis: ``w`` is (cells, alive), contiguous,
+    and ``columns`` returns (columns, alive), so a step's sums, gathers and
+    comparisons work on whole contiguous rows of draws.  A draw holds its
+    running sum C[pos] (``carry``) and, in its column of ``w``, the weights
+    of cells [pos, drawn), drawn but not yet summed, followed, while cells
+    remain unseen, by their total mass.  With r cells unseen, the next
+    chunk of c = min(_WEIGHT_CHUNK, r) weights and the new unseen mass are
+    the old mass times a Dirichlet(1, ..., 1, r - c) draw (normalized, then
+    scaled), so every assembled row is flat Dirichlet.
 
-    The first chunk, of mass 1, is drawn for every row at once and left
+    The first chunk, of mass 1, is drawn for every draw at once and left
     unscaled, so a row of at most _WEIGHT_CHUNK cells is one
     dirichlet_flat_sample row, float for float.  A later chunk is drawn
     only when ``advance`` reaches ``ready``, the first column that reads a
-    cell not yet drawn, and only for the rows then alive, in draw order:
-    their exponentials row-major, then their gammas.
+    cell not yet drawn, and only for the draws then alive, in draw order:
+    their exponentials row-major, then their gammas.  Each chunk is drawn
+    (alive, cells) as dirichlet_flat_sample gives it, whose row sums set
+    the floats, and then transposed in one copy.
+
+    A walk with a floor (see _walk_count) drops its rows once too few
+    draws are alive; the weights of the draws it reads do not depend on
+    the floor.
     """
 
     def __init__(self, table, rng, draws):
@@ -203,12 +212,12 @@ class _LazyRows:
     def _draw(self):
         r = self.table.cells - self.drawn
         c = min(_WEIGHT_CHUNK, r)
-        e = dirichlet_flat_sample(c, self.rng, size=self.carry.size, rest=r - c)
+        e = dirichlet_flat_sample(c, self.rng, size=self.carry.size, rest=r - c).T.copy()
         if self.drawn:
             # sum the drawn cells into the carry and split the unseen mass
-            self.carry = _running_sums(self.carry, self.w[:, :-1])[:, -1]
+            self.carry = _running_sums(self.carry, self.w[:-1])[-1]
             self.pos = self.drawn
-            e *= self.w[:, -1:]
+            e *= self.w[-1]
         self.w = e
         self.drawn += c
         # column j reads cells [0, k[j] + (frac is not None)) for lo <= j < hi
@@ -219,7 +228,7 @@ class _LazyRows:
             self.ready = t.k.size
 
     def advance(self, j0, j1):
-        """Draws the chunks column j0 reads, for the rows alive, and
+        """Draws the chunks column j0 reads, for the draws alive, and
         returns the end, at most j1, of the columns from j0 on that read
         only drawn cells."""
         while self.ready == j0:
@@ -227,30 +236,30 @@ class _LazyRows:
         return min(j1, self.ready)
 
     def columns(self, j0, j1):
-        """The alive rows' values at grid columns [j0, j1), which must
-        read only drawn cells; advances the carry."""
+        """The alive draws' values at grid columns [j0, j1), which must
+        read only drawn cells, as (j1 - j0, alive); advances the carry."""
         t = self.table
-        out = np.empty((self.carry.size, j1 - j0))
+        out = np.empty((j1 - j0, self.carry.size))
         a = min(max(j0, t.lo), j1)
         b = min(max(j0, t.hi), j1)
-        out[:, :a - j0] = 0.0
-        out[:, b - j0:] = 1.0
+        out[:a - j0] = 0.0
+        out[b - j0:] = 1.0
         if a < b:
             k = t.k[a:b] - self.pos
             q = int(k[-1])
-            cum = _running_sums(self.carry, self.w[:, :q])
-            vals = out[:, a - j0:b - j0]
-            np.take(cum, k, axis=1, out=vals)
+            cum = _running_sums(self.carry, self.w[:q])
+            vals = out[a - j0:b - j0]
+            np.take(cum, k, axis=0, out=vals)
             if t.frac is not None:
-                vals += t.frac[a:b] * self.w[:, k]
-            self.carry = cum[:, q]
-            self.w = self.w[:, q:]
+                vals += t.frac[a:b, None] * self.w[k]
+            self.carry = cum[q]
+            self.w = self.w[q:]
             self.pos += q
         return out
 
     def keep(self, ok):
-        """Drops the rows where ``ok`` is False."""
-        self.w = self.w[ok]
+        """Drops the draws where ``ok`` is False."""
+        self.w = self.w[:, ok]
         self.carry = self.carry[ok]
 
 
@@ -292,14 +301,14 @@ def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
     X's weights come off the generator ``rx`` and the opponent sample's
     off ``ry``, each a chunk of cells at a time (see _LazyRows).  The grid
     is walked in steps of at most _CHUNK_COLS columns, fewer when many
-    draws are alive (_STEP_ELEMS), keeping only the draws that have not
-    yet violated the bound: each step extends the alive rows' running CDF
-    sums from a per-row carry, compares those columns, and drops every
-    violating row; the walk ends early once none is left.  A step stops
-    short of the first column that reads a cell not yet drawn, so a
-    sample's next chunk is drawn, for the rows then alive, only after
-    every earlier column has been checked: the weights a draw gets depend
-    on _WEIGHT_CHUNK but not on the steps.  The count
+    draws are alive (_STEP_ELEMS), the first step one column, keeping only
+    the draws that have not yet violated the bound: each step extends the
+    alive draws' running CDF sums from a per-draw carry, compares those
+    columns, and drops every violating draw; the walk ends early once none
+    is left.  A step stops short of the first column that reads a cell not
+    yet drawn, so a sample's next chunk is drawn, for the draws then
+    alive, only after every earlier column has been checked: the weights a
+    draw gets depend on _WEIGHT_CHUNK but not on the steps.  The count
     equals that of a whole-matrix evaluation of the same weights bit for
     bit, since the carry-extended cumsum adds the same terms in the same
     order as a cumsum over the whole row.  (With one generator as both
@@ -328,28 +337,40 @@ def _walk_setup(xs, ref, ys, variant, tol):
     return grid, fixed_bound, [_row_table(s, variant, grid) for s in (xs, ys) if s is not None]
 
 
-def _walk_count(grid, fixed_bound, tables, tol, draws, rx, ry):
-    """_dominated_count's walk, on the set-up _walk_setup gives."""
+def _walk_count(grid, fixed_bound, tables, tol, draws, rx, ry, floor=0):
+    """_dominated_count's walk, on the set-up _walk_setup gives.
+
+    With a ``floor``, only whether the count reaches it is wanted: the walk
+    returns the exact count when that is >= floor, and otherwise some count
+    below floor, the draws still alive when fewer than floor are (before
+    any weight is drawn, if draws < floor).  The draws it reads get the
+    weights they get without a floor.
+
+    The first step reads one column, so a walk whose draws all die there
+    sums and gathers no further cells."""
+    if draws < floor:
+        return draws
     samples = [_LazyRows(table, rng, draws) for table, rng in zip(tables, (rx, ry))]
-    j0 = 0
+    j0, j1 = 0, 1
     while j0 < grid.size:
-        alive = samples[0].carry.size
-        j1 = min(grid.size, j0 + max(1, min(_CHUNK_COLS, _STEP_ELEMS // alive)))
         for sample in samples:
             j1 = sample.advance(j0, j1)
         f = [sample.columns(j0, j1) for sample in samples]
         if fixed_bound is not None:
-            bound = fixed_bound[j0:j1]
+            bound = fixed_bound[j0:j1, None]
         else:
             bound = f[1]
             bound += tol
-        ok = np.all(f[0] <= bound, axis=1)
+        ok = np.all(f[0] <= bound, axis=0)
         if not ok.all():
-            if not ok.any():
-                return 0
+            alive = int(np.count_nonzero(ok))
+            if alive < max(floor, 1):
+                return alive
             for sample in samples:
                 sample.keep(ok)
         j0 = j1
+        alive = samples[0].carry.size
+        j1 = min(grid.size, j0 + max(1, min(_CHUNK_COLS, _STEP_ELEMS // alive)))
     return samples[0].carry.size
 
 
@@ -366,7 +387,7 @@ def _as_opponent(opponent):
 
 
 def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
-                       workers=1) -> McSummary:
+                       workers=1, *, floor=0) -> McSummary:
     """Posterior probability that X's CDF dominates the opponent.
 
     ``opponent`` is a reference CDF, given as a function that maps an array
@@ -403,6 +424,16 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
     500 per sample, are all the weights a walk holds at once; beyond them
     a posterior holds only its blocks' substreams, about a kilobyte per
     block.
+
+    With a ``floor``, only whether the dominated count reaches it is
+    wanted, as with dd_pvalue_nonsd1's ``alpha``.  The estimate is then
+    the exact one when the count is >= floor, and otherwise some count
+    below floor over cfg.draws.  A block of s draws walks with the floor
+    floor - (cfg.draws - s), the least it must count for the total to
+    reach floor, and stops once fewer draws than that are alive (see
+    _walk_count); a block that stops so leaves the total below floor.  The
+    two children are spawned and the blocks' streams assigned as without
+    a floor, so a later call on ``rng`` reads the same streams.
     """
     if rng is None:
         rng = SeedPlan(0).stream(0)
@@ -416,7 +447,8 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
                  for first in range(0, cfg.draws, _POSTERIOR_BLOCK)]
         streams = zip([rx, *_substreams(rx, len(sizes) - 1)],
                       [ry, *_substreams(ry, len(sizes) - 1)])
-        count = sum(parallel_map([functools.partial(_walk_count, *walk, cfg.tol, draws, bx, by)
+        count = sum(parallel_map([functools.partial(_walk_count, *walk, cfg.tol, draws, bx, by,
+                                                    floor - (cfg.draws - draws))
                                   for draws, (bx, by) in zip(sizes, streams)], workers))
     return McSummary(count / cfg.draws, cfg.draws)
 
@@ -682,6 +714,33 @@ def _topup_counts(draws, alpha, error):
     return int(covered[0]), int(covered[-1])
 
 
+def _decision_floor(nulls, done, take, null, alpha, covering):
+    """The floor for a Bayesian replication's next batch of ``take`` draws,
+    after ``nulls`` null draws out of ``done``: the least dominated count
+    of the batch whose outcome differs from that of a count of 0, or take
+    + 1 if none does, and 0 when a count of 0 continues.
+
+    A batch's outcome, given its dominated count d, is what the
+    replication does with it: continue, or stop with the decision nulls /
+    done <= alpha.  It stops where the range ``covering`` = (lo, hi) of
+    the look after the batch excludes the pooled null count; the last
+    batch, which has no look, passes an empty range (lo > hi).  Every
+    count below the floor has the outcome of 0, so a posterior that is
+    only known to count below the floor decides the batch.  A count of 0
+    that continues needs the exact count, since the next look pools it,
+    so the scan counts every continuing d as a change.  The outcomes are
+    the replication's own integer comparisons and float division, for
+    every d at once, as dd_pvalue_nonsd1 finds its stop count.
+    """
+    d = np.arange(take + 1)
+    pooled = nulls + (d if null == "sd1" else take - d)
+    lo, hi = covering
+    goes_on = (lo <= pooled) & (pooled <= hi)
+    reject = pooled / (done + take) <= alpha
+    differs = np.flatnonzero(goes_on | (reject != reject[0]))
+    return int(differs[0]) if differs.size else take + 1
+
+
 def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
                              cfg: SdConfig = SdConfig(), master_seed=0) -> McSummary:
     """Simulated rejection rate for dominance tests under a uniform shift.
@@ -715,6 +774,14 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
     the exact posterior, is at most _TOPUP_ERROR (1e-3) by Bonferroni.
     The covering counts form one range per look, computed once per
     process, so each look is two integer comparisons.
+
+    Only the side of alpha a replication's pooled estimate falls on is
+    wanted, so each batch's posterior is called with the floor of
+    _decision_floor: the least dominated count that would change what the
+    replication does next.  The posterior stops once fewer draws than that
+    are alive, and the replication continues or stops, and decides, as it
+    would on the exact count (Besag and Clifford 1991 applied at each
+    look).  A replication that would continue gets the exact count.
     """
     check_alpha(alpha)
     if null not in ("sd1", "non_sd1"):
@@ -737,24 +804,26 @@ def sd_rejection_probability(h, n, two_sample, null, method, alpha, reps,
         error = _TOPUP_ERROR / max(1, len(looks))
         covering = {d: _topup_counts(d, alpha, error) for d in looks}
 
-    def bayes_null_posterior(x, opponent, rng):
+    def bayes_rejects(x, opponent, rng):
         nulls = done = 0
-        while done < cfg.draws:
+        while True:
             take = min(batch, cfg.draws - done)
-            p = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=take), rng=rng).estimate
+            # the last batch has no look: its empty range always stops
+            lo, hi = covering.get(done + take, (1, 0))
+            floor = _decision_floor(nulls, done, take, null, alpha, (lo, hi))
+            p = posterior_prob_sd1(x, opponent, cfg=replace(cfg, draws=take), rng=rng,
+                                   floor=floor).estimate
             dominated = round(p * take)
             nulls += dominated if null == "sd1" else take - dominated
             done += take
-            lo, hi = covering.get(done, (0, done))
             if not lo <= nulls <= hi:
-                break
-        return nulls / done
+                return nulls / done <= alpha
 
     def one_rep(_, rng):
         x = _draw_shifted_uniform(n, h, rng)
         y = rng.uniform(0.0, 1.0, n) if two_sample else None
         if method == "bayes":
-            return [bayes_null_posterior(x, y if two_sample else UNIFORM01, rng) <= alpha]
+            return [bayes_rejects(x, y if two_sample else UNIFORM01, rng)]
         if method == "ks":
             p = ks_pvalue_sd1(x, y if two_sample else UNIFORM01)
         elif method == "iu_beta":

@@ -903,7 +903,7 @@ def test_table2_draws_cap_spent_in_batches(monkeypatch, capsys):
     # replication spends the whole cap of 900 draws in batches of 300
     calls = []
 
-    def at_alpha(x_sample, opponent, cfg=sd.SdConfig(), rng=None):
+    def at_alpha(x_sample, opponent, cfg=sd.SdConfig(), rng=None, floor=0):
         calls.append(cfg.draws)
         return McSummary(0.5, cfg.draws)
 

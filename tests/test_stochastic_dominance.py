@@ -167,7 +167,8 @@ def bb_draw(sample, variant, rng):
 def _posterior_rows(sample, variant, rng, draws, grid):
     """(draws, len(grid)) bootstrap CDF rows at the sorted ``grid``: the
     lazy rows walked over the whole grid, drawing every chunk it reads,
-    with no draw dropped."""
+    with no draw dropped.  The lazy rows hold the draws last, so their
+    columns are stacked and transposed."""
     xs = np.sort(np.asarray(sample, dtype=float))
     grid = np.asarray(grid, dtype=float)
     lazy = sd._LazyRows(sd._row_table(xs, variant, grid), rng, draws)
@@ -176,14 +177,15 @@ def _posterior_rows(sample, variant, rng, draws, grid):
         j1 = lazy.advance(j0, grid.size)
         cols.append(lazy.columns(j0, j1))
         j0 = j1
-    return np.concatenate(cols, axis=1)
+    return np.concatenate(cols, axis=0).T
 
 
 def _first_weights(sample, variant, seed, draws):
     """The weights the lazy rows of ``sample`` draw before the walk: the
-    whole rows, for a sample of at most _WEIGHT_CHUNK cells."""
+    whole rows, for a sample of at most _WEIGHT_CHUNK cells, one row per
+    draw (the lazy rows hold them draws last)."""
     xs = np.sort(np.asarray(sample, dtype=float))
-    return sd._LazyRows(sd._row_table(xs, variant, xs), np.random.default_rng(seed), draws).w
+    return sd._LazyRows(sd._row_table(xs, variant, xs), np.random.default_rng(seed), draws).w.T
 
 
 class TestBbDraw:
@@ -317,14 +319,14 @@ class TestLazyWeights:
         c = sd._WEIGHT_CHUNK
         ready = c - (variant == BANKS)
         lazy = sd._LazyRows(sd._row_table(xs, variant, xs), np.random.default_rng(22), 500)
-        assert lazy.w.shape == (500, c + 1)
-        np.testing.assert_allclose(lazy.w.sum(axis=1), 1.0, rtol=1e-14)
-        first, mass = lazy.w[:, :-1].sum(axis=1), lazy.w[:, -1].copy()
+        assert lazy.w.shape == (c + 1, 500)
+        np.testing.assert_allclose(lazy.w.sum(axis=0), 1.0, rtol=1e-14)
+        first, mass = lazy.w[:-1].sum(axis=0), lazy.w[-1].copy()
         assert lazy.ready == ready
         assert lazy.advance(ready, xs.size) == ready + c
         np.testing.assert_allclose(lazy.carry, first, rtol=1e-13)
-        assert lazy.w.shape == (500, c + 1)
-        np.testing.assert_allclose(lazy.w.sum(axis=1), mass, rtol=1e-13)
+        assert lazy.w.shape == (c + 1, 500)
+        np.testing.assert_allclose(lazy.w.sum(axis=0), mass, rtol=1e-13)
 
     @pytest.mark.parametrize("variant", [RUBIN, BANKS])
     def test_rows_across_three_chunks_are_flat_dirichlet(self, variant):
@@ -394,6 +396,37 @@ class TestLazyWeights:
         assert out.estimate == 0.0
         rest = 300 + (variant == BANKS) - 128
         assert sorted(calls.values()) == [[(128, sd._POSTERIOR_BLOCK, rest)]] * 8
+
+    @staticmethod
+    def _columns_read(monkeypatch, x, y, cfg):
+        """The posterior's estimate and the width of every step that reads
+        a sample's columns, in call order."""
+        widths = []
+        columns = sd._LazyRows.columns
+
+        def counted(self, j0, j1):
+            widths.append(j1 - j0)
+            return columns(self, j0, j1)
+
+        monkeypatch.setattr(sd._LazyRows, "columns", counted)
+        out = posterior_prob_sd1(x, y, cfg, np.random.default_rng(27))
+        return out.estimate, widths
+
+    @pytest.mark.parametrize("variant", [RUBIN, BANKS])
+    def test_draws_that_die_at_the_first_column_read_one_column(self, monkeypatch, variant):
+        # every draw dies at the pooled minimum, x's first point: each of
+        # the four blocks reads that one column of each sample
+        x, y = np.linspace(0.0, 1.0, 50), np.linspace(0.5, 1.5, 50)
+        cfg = SdConfig(draws=2000, bootstrap=variant, tol=1e-9)
+        assert self._columns_read(monkeypatch, x, y, cfg) == (0.0, [1] * 8)
+
+    def test_only_the_first_step_is_one_column(self, monkeypatch):
+        # a walk whose draws survive the first column widens its next step
+        x, y = fixed_design_sample(300, 0.9)
+        estimate, widths = self._columns_read(monkeypatch, x, y, SdConfig(draws=500))
+        assert 0.0 < estimate < 1.0
+        assert widths[:2] == [1, 1]
+        assert max(widths) > 1
 
     def test_memory_follows_the_chunk(self):
         # full weight rows of a 2000-draw banks posterior at n = 2500 are
@@ -1394,7 +1427,7 @@ class TestTopupRule:
         one repeated."""
         calls, streams = [], []
 
-        def fake(x_sample, opponent, cfg=SdConfig(), rng=None):
+        def fake(x_sample, opponent, cfg=SdConfig(), rng=None, floor=0):
             # each replication has its own stream: this call's batch number
             # is the number of earlier calls on it
             batch = sum(seen is rng for seen in streams)
@@ -1448,3 +1481,138 @@ class TestTopupRule:
         calls, _ = self._count_posteriors(monkeypatch, "sd1", [draws // 10], reps=3,
                                           draws=draws)
         assert calls == [draws] * 3
+
+
+# ---------------------------------------------------------------------------
+# decision floors: a posterior asked only whether its count reaches a floor
+
+
+class TestPosteriorFloor:
+    @staticmethod
+    def _counts(x, opponent, draws, floors, workers=1):
+        return [round(posterior_prob_sd1(x, opponent, SdConfig(draws=draws),
+                                         np.random.default_rng(41), workers,
+                                         floor=floor).estimate * draws)
+                for floor in floors]
+
+    @pytest.mark.parametrize("draws", [300, 1300])
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_count_is_exact_from_the_floor_up(self, two_sample, draws):
+        # 1300 draws are blocks of 500, 500 and 300, each with a floor of
+        # its own
+        x, y = _shifted_pair(100, 0.9, 41)
+        opponent = y if two_sample else UNIFORM01
+        exact, = self._counts(x, opponent, draws, [0])
+        assert 0 < exact < draws
+        floors = sorted({1, exact // 2, exact, exact + 1, (exact + draws) // 2, draws,
+                         draws + 1})
+        counts = self._counts(x, opponent, draws, floors)
+        for floor, count in zip(floors, counts):
+            assert count == exact if floor <= exact else count < floor
+        # some walk stopped with draws still alive
+        assert any(exact < count < floor for floor, count in zip(floors, counts))
+
+    def test_workers_do_not_change_a_floored_count(self):
+        x, y = _shifted_pair(100, 0.9, 42)
+        floors = [0, 700, 1200, 1999]
+        assert self._counts(x, y, 2000, floors) == self._counts(x, y, 2000, floors, workers=2)
+
+    def test_floor_above_the_draws_draws_nothing(self, monkeypatch):
+        # no weight is drawn, and the caller's stream spawns its two
+        # children all the same, so a later call reads what it would have
+        x, y = fixed_design_sample(50, 0.9)
+        calls = _recording_draws(monkeypatch)
+        rng = np.random.default_rng(43)
+        out = posterior_prob_sd1(x, y, SdConfig(draws=1300), rng, floor=1301)
+        assert out.estimate == 1.0 and not calls
+        assert rng.bit_generator.seed_seq.n_children_spawned == 2
+        later = posterior_prob_sd1(x, y, SdConfig(draws=300), rng)
+        fresh = np.random.default_rng(43)
+        posterior_prob_sd1(x, y, SdConfig(draws=1300), fresh)
+        assert later == posterior_prob_sd1(x, y, SdConfig(draws=300), fresh)
+
+
+def _batch_outcome(nulls, done, take, d, null, alpha, cap):
+    """What a Bayesian replication capped at ``cap`` draws does with a
+    batch of ``take`` draws of which ``d`` are dominated, after ``nulls``
+    null draws out of ``done``: "continue", or its decision."""
+    pooled = nulls + (d if null == "sd1" else take - d)
+    total = done + take
+    if total < cap and _cp_covers(pooled, total, alpha):
+        return "continue"
+    return pooled / total <= alpha
+
+
+class TestDecisionFloor:
+    @pytest.mark.parametrize("null", ["sd1", "non_sd1"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9])
+    def test_floor_is_the_first_count_that_changes_the_outcome(self, null, alpha):
+        # every look of an 1800-draw cap, after null counts that continued
+        # at the look before: its range's ends, middle and alpha's share
+        cap, take = 1800, 300
+        floors = set()
+        for done in range(0, cap, take):
+            if done:
+                lo, hi = sd._topup_counts(done, alpha, LOOK_ERROR)
+                priors = {lo, (lo + hi) // 2, hi, min(max(round(alpha * done), lo), hi)}
+            else:
+                priors = {0}
+            # the last batch passes an empty range: it has no look
+            covering = (sd._topup_counts(done + take, alpha, LOOK_ERROR)
+                        if done + take < cap else (1, 0))
+            for nulls in priors:
+                floor = sd._decision_floor(nulls, done, take, null, alpha, covering)
+                first = _batch_outcome(nulls, done, take, 0, null, alpha, cap)
+                floors.add(floor)
+                if first == "continue":
+                    assert floor == 0
+                    continue
+                assert 0 < floor <= take + 1
+                assert all(_batch_outcome(nulls, done, take, d, null, alpha, cap) == first
+                           for d in range(floor))
+                if floor <= take:
+                    assert _batch_outcome(nulls, done, take, floor, null, alpha, cap) != first
+        # deciding batches occur, and continuing ones wherever a batch of
+        # no dominated draw moves the pooled estimate toward alpha
+        assert any(0 < f <= take for f in floors)
+        assert (0 in floors) == ((null == "sd1") == (alpha < 0.5))
+
+
+class TestFloorOracle:
+    """The floors change no rejection: every Bayesian cell of table2 gives
+    the rejections of the exact batch counts."""
+
+    @staticmethod
+    def _check(monkeypatch, cells, reps):
+        stops = []
+        walk = sd._walk_count
+
+        def spied(*args):
+            count = walk(*args)
+            floor = args[-1]
+            # a walk that returns with draws alive below its floor stopped
+            # where a floorless walk goes on
+            stops.append(0 < count < floor)
+            return count
+
+        monkeypatch.setattr(sd, "_walk_count", spied)
+        cfg = SdConfig(draws=1800)
+        floored = [sd_rejection_probability(h, n, two, null, "bayes", 0.1, reps, cfg=cfg,
+                                            master_seed=seed)
+                   for seed, (null, n, h, two) in enumerate(cells)]
+        assert any(stops)
+        posterior = sd.posterior_prob_sd1
+        monkeypatch.setattr(sd, "posterior_prob_sd1",
+                            lambda x, opponent, cfg, rng, floor: posterior(x, opponent, cfg, rng))
+        exact = [sd_rejection_probability(h, n, two, null, "bayes", 0.1, reps, cfg=cfg,
+                                          master_seed=seed)
+                 for seed, (null, n, h, two) in enumerate(cells)]
+        assert floored == exact
+
+    def test_every_n100_cell(self, monkeypatch):
+        cells = [("sd1", 100, 0.0, two) for two in (False, True)]
+        cells += [("non_sd1", 100, h, two) for h in (0.0, 0.9, 1.3) for two in (False, True)]
+        self._check(monkeypatch, cells, 20)
+
+    def test_two_sample_n1000_h13_cell(self, monkeypatch):
+        self._check(monkeypatch, [("non_sd1", 1000, 1.3, True)], 4)
