@@ -62,7 +62,8 @@ def _points(points, dim):
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{theta : c . theta <= c0} for a finite nonzero direction c."""
+    """{theta : c . theta <= c0} for a finite nonzero direction c; c0 may
+    be +-inf, but not nan."""
 
     c: np.ndarray
     c0: float
@@ -74,6 +75,8 @@ class HalfSpace:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "c0", float(self.c0))
+        if math.isnan(self.c0):
+            raise ValueError("half-space offset c0 must not be nan")
 
     @property
     def dim(self):
@@ -90,7 +93,7 @@ def LowerHalfLine(c0):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box with closed faces; bounds may be +-inf.
+    """Axis-aligned box with closed faces; bounds may be +-inf, but not nan.
 
     The nonnegative orthant is Box(lower=0, upper=+inf in every coordinate).
     """
@@ -103,8 +106,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have equal length")
-        if np.any(lo > hi):
-            raise ValueError("box requires lower <= upper")
+        if not np.all(lo <= hi):
+            raise ValueError("box requires lower <= upper, and no nan bound")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
@@ -125,7 +128,8 @@ class Box:
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Finite union of disjoint closed scalar intervals, sorted ascending.
+    """Finite union of disjoint closed scalar intervals, sorted ascending;
+    ends may be +-inf, but not nan.
 
     Degenerate intervals [a, a] are allowed; under a continuous posterior
     they carry probability zero, which is how measure-zero counterexample
@@ -139,8 +143,8 @@ class IntervalUnion:
         if not ivs:
             raise ValueError("need at least one interval")
         for a, b in ivs:
-            if a > b:
-                raise ValueError(f"interval [{a}, {b}] has a > b")
+            if not a <= b:
+                raise ValueError(f"interval [{a}, {b}] needs a <= b, and no nan end")
         for (_, b_prev), (a_next, _) in zip(ivs, ivs[1:]):
             if a_next <= b_prev:
                 raise ValueError("intervals must be disjoint and sorted")

@@ -81,6 +81,16 @@ def _sorted_sample(sample):
     return np.sort(s)
 
 
+def _reference_values(ref, points):
+    """The reference CDF ``ref`` at ``points`` as floats.  A value that is
+    nan or inf, or not one value per point, is refused: it would give a
+    silent p-value or posterior downstream."""
+    values = np.asarray(ref(points), dtype=float)
+    if values.shape != points.shape or not np.isfinite(values).all():
+        raise ValueError(f"reference CDF {ref!r} must give one finite value per point")
+    return values
+
+
 def fixed_design_sample(n, h):
     """Deterministic near-uniform samples: x_i = i/(n+1) + h/sqrt(n) for
     i = 1..n, y_i = i/n for i = 1..n-1.
@@ -145,13 +155,10 @@ def _row_table(sorted_sample, variant, grid):
 # depends on it, so changing it re-rolls every posterior on a sample of
 # more cells than it
 _WEIGHT_CHUNK = 128
-# grid columns evaluated per step of the dominance walk, at most, and alive
-# rows x columns per step, at most (down to one column), which bounds the
-# step's temporaries when a walk has many draws; output depends on
-# neither.  A posterior's blocks are too small for _STEP_ELEMS to narrow
-# a step
+# grid columns evaluated per step of the dominance walk, at most; output
+# does not depend on it.  A walk is one block of at most _POSTERIOR_BLOCK
+# draws, so a step holds at most 500 x 64 values per sample
 _CHUNK_COLS = 64
-_STEP_ELEMS = 1 << 17
 # posterior draws per block, at most: posterior_prob_sd1 walks its draws
 # in consecutive blocks, each on substreams of its own, and adds up their
 # counts.  Part of the sampling scheme, like _WEIGHT_CHUNK and
@@ -293,66 +300,58 @@ def _zero_posterior(xs, fixed_bound, ys, tol):
     return tol == 0 and (xs[0] < ys[0] or xs[-1] < ys[-1])
 
 
-def _dominated_count(xs, ref, ys, variant, draws, tol, rx, ry):
-    """Number of posterior draws with F_X <= bound + tol on the pooled
-    grid, for the sorted sample ``xs`` against the reference CDF function
-    ``ref`` or the sorted opponent sample ``ys`` (see _as_opponent).
+def _walk_setup(xs, ref, ys, variant, tol):
+    """The dominance walk of the sorted sample ``xs`` against the reference
+    CDF function ``ref`` or the sorted opponent sample ``ys`` (see
+    _as_opponent), a function of (draws, rx, ry, floor=0): _walk_count
+    with what every walk over them shares bound in, which is the pooled
+    grid's size, ref + tol on the grid against a reference (None against
+    a sample), each sample's _RowTable, and tol.  None when
+    _zero_posterior screens the posterior out."""
+    if ys is None:
+        grid, fixed_bound = xs, _reference_values(ref, xs) + tol
+    else:
+        grid, fixed_bound = np.sort(np.concatenate([xs, ys])), None
+    if _zero_posterior(xs, fixed_bound, ys, tol):
+        return None
+    tables = [_row_table(s, variant, grid) for s in (xs, ys) if s is not None]
+    return functools.partial(_walk_count, grid.size, fixed_bound, tables, tol)
+
+
+def _walk_count(width, fixed_bound, tables, tol, draws, rx, ry, floor=0):
+    """Number of ``draws`` posterior draws with F_X <= bound + tol at every
+    one of the pooled grid's ``width`` columns, on the set-up _walk_setup
+    gives.
 
     X's weights come off the generator ``rx`` and the opponent sample's
     off ``ry``, each a chunk of cells at a time (see _LazyRows).  The grid
-    is walked in steps of at most _CHUNK_COLS columns, fewer when many
-    draws are alive (_STEP_ELEMS), the first step one column, keeping only
-    the draws that have not yet violated the bound: each step extends the
-    alive draws' running CDF sums from a per-draw carry, compares those
-    columns, and drops every violating draw; the walk ends early once none
-    is left.  A step stops short of the first column that reads a cell not
-    yet drawn, so a sample's next chunk is drawn, for the draws then
-    alive, only after every earlier column has been checked: the weights a
-    draw gets depend on _WEIGHT_CHUNK but not on the steps.  The count
-    equals that of a whole-matrix evaluation of the same weights bit for
-    bit, since the carry-extended cumsum adds the same terms in the same
-    order as a cumsum over the whole row.  (With one generator as both
-    sources, X's chunk comes before Y's wherever both draw.)
-
-    Samples that _zero_posterior screens out count 0 before any weight is
-    drawn.
-    """
-    walk = _walk_setup(xs, ref, ys, variant, tol)
-    return 0 if walk is None else _walk_count(*walk, tol, draws, rx, ry)
-
-
-def _walk_setup(xs, ref, ys, variant, tol):
-    """What every walk over ``xs`` against ``ref`` or ``ys`` shares:
-    (grid, fixed_bound, tables), the pooled grid, ref + tol on it against
-    a reference (None against a sample), and each sample's _RowTable.
-    None when _zero_posterior screens the posterior out."""
-    if ys is None:
-        grid = xs
-        fixed_bound = np.asarray(ref(grid), dtype=float) + tol
-    else:
-        grid = np.sort(np.concatenate([xs, ys]))
-        fixed_bound = None
-    if _zero_posterior(xs, fixed_bound, ys, tol):
-        return None
-    return grid, fixed_bound, [_row_table(s, variant, grid) for s in (xs, ys) if s is not None]
-
-
-def _walk_count(grid, fixed_bound, tables, tol, draws, rx, ry, floor=0):
-    """_dominated_count's walk, on the set-up _walk_setup gives.
+    is walked in steps of _CHUNK_COLS columns, the first step one column,
+    keeping only the draws that have not yet violated the bound: each step
+    extends the alive draws' running CDF sums from a per-draw carry,
+    compares those columns, and drops every violating draw; the walk ends
+    early once none is left.  A step stops short of the first column that
+    reads a cell not yet drawn, so a sample's next chunk is drawn, for the
+    draws then alive, only after every earlier column has been checked:
+    the weights a draw gets depend on _WEIGHT_CHUNK but not on the steps.
+    The count equals that of a whole-matrix evaluation of the same weights
+    bit for bit, since the carry-extended cumsum adds the same terms in
+    the same order as a cumsum over the whole row.  (With one generator as
+    both sources, X's chunk comes before Y's wherever both draw.)  The
+    one-column first step means a walk whose draws all die there sums and
+    gathers no further cells.  Samples that _zero_posterior screens out
+    get no walk, so count 0 before any weight is drawn.
 
     With a ``floor``, only whether the count reaches it is wanted: the walk
     returns the exact count when that is >= floor, and otherwise some count
     below floor, the draws still alive when fewer than floor are (before
     any weight is drawn, if draws < floor).  The draws it reads get the
     weights they get without a floor.
-
-    The first step reads one column, so a walk whose draws all die there
-    sums and gathers no further cells."""
+    """
     if draws < floor:
         return draws
     samples = [_LazyRows(table, rng, draws) for table, rng in zip(tables, (rx, ry))]
     j0, j1 = 0, 1
-    while j0 < grid.size:
+    while j0 < width:
         for sample in samples:
             j1 = sample.advance(j0, j1)
         f = [sample.columns(j0, j1) for sample in samples]
@@ -368,9 +367,7 @@ def _walk_count(grid, fixed_bound, tables, tol, draws, rx, ry, floor=0):
                 return alive
             for sample in samples:
                 sample.keep(ok)
-        j0 = j1
-        alive = samples[0].carry.size
-        j1 = min(grid.size, j0 + max(1, min(_CHUNK_COLS, _STEP_ELEMS // alive)))
+        j0, j1 = j1, min(width, j1 + _CHUNK_COLS)
     return samples[0].carry.size
 
 
@@ -398,7 +395,7 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
     per iteration.
 
     The draws are walked in consecutive blocks of _POSTERIOR_BLOCK (500),
-    the last one short, each a _dominated_count walk of its own, and the
+    the last one short, each a _walk_count walk of its own, and the
     blocks' counts add up to the posterior's.  X's weights come from PCG64
     substreams of ``rng`` and the opponent sample's from others (see
     _substreams), so ``rng`` must be built on a SeedSequence, as SeedPlan
@@ -407,7 +404,7 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
     generator as it is, so a second call on it draws fresh weights.
     Block 0 reads those two children; block b >= 1 reads the (b - 1)-th
     child spawned from each of them.  So a posterior of at most 500 draws
-    is one _dominated_count walk on _substreams(rng, 2), and each block's
+    is one _walk_count walk on _substreams(rng, 2), and each block's
     weights depend on the block structure alone.
 
     ``workers`` runs the blocks in at most that many forked processes (see
@@ -447,8 +444,7 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
                  for first in range(0, cfg.draws, _POSTERIOR_BLOCK)]
         streams = zip([rx, *_substreams(rx, len(sizes) - 1)],
                       [ry, *_substreams(ry, len(sizes) - 1)])
-        count = sum(parallel_map([functools.partial(_walk_count, *walk, cfg.tol, draws, bx, by,
-                                                    floor - (cfg.draws - draws))
+        count = sum(parallel_map([functools.partial(walk, draws, bx, by, floor - cfg.draws + draws)
                                   for draws, (bx, by) in zip(sizes, streams)], workers))
     return McSummary(count / cfg.draws, cfg.draws)
 
@@ -468,15 +464,16 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
 
     One-sample use assumes the sample lies in the reference's support,
     [0, 1] for UNIFORM01 (which reads 0 below it and 1 above it).  The
-    reference values enter D+ as they are, without the clip into [0, 1]
-    that iu_beta_pvalue_nonsd1 applies; nothing checks the range.
+    reference values, which must be finite, enter D+ as they are, without
+    the clip into [0, 1] that iu_beta_pvalue_nonsd1 applies; nothing
+    checks the range.
     """
     x = _sorted_sample(x_sample)
     n = x.size
     ref, y = _as_opponent(opponent)
     if y is None:
         fx = np.arange(1, n + 1) / n
-        d_plus = float(np.max(fx - np.asarray(ref(x), dtype=float)))
+        d_plus = float(np.max(fx - _reference_values(ref, x)))
         scale = n
     else:
         m = y.size
@@ -501,12 +498,12 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     pointwise test rejects).
 
     The sample is assumed to lie in f0's support, [0, 1] for UNIFORM01.
-    f0's values are clipped into [0, 1] before the beta tails, unlike in
-    ks_pvalue_sd1; nothing checks the range.
+    f0's values, which must be finite, are clipped into [0, 1] before the
+    beta tails, unlike in ks_pvalue_sd1; nothing checks the range.
     """
     x = _sorted_sample(x_sample)
     n = x.size
-    u = np.clip(np.asarray(f0(x), dtype=float), 0.0, 1.0)
+    u = np.clip(_reference_values(f0, x), 0.0, 1.0)
     k = np.arange(1, n + 1, dtype=float)
     comp = 1.0 - beta_cdf(u, k, n + 1.0 - k)
     return float(np.max(comp))

@@ -60,6 +60,13 @@ class TestHalfSpace:
         with pytest.raises(ValueError):
             HalfSpace(c=np.zeros(2), c0=0.0)
 
+    def test_nan_offset_refused(self):
+        # a nan c0 used to give a nan rejection probability; +-inf stays
+        with pytest.raises(ValueError, match="nan"):
+            HalfSpace(c=np.array([1.0]), c0=np.nan)
+        for c0 in (-np.inf, np.inf):
+            assert HalfSpace(c=np.array([1.0]), c0=c0).c0 == c0
+
     def test_direction_write_protected(self):
         hs = HalfSpace(c=np.array([1.0]), c0=0.0)
         with pytest.raises(ValueError):
@@ -105,6 +112,15 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(lower=np.zeros(2), upper=np.zeros(3))
 
+    def test_nan_bound_refused(self):
+        # a nan bound used to give a rejection probability of 0.0; +-inf
+        # stays
+        for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan]),
+                             ([0.0, np.nan], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="nan"):
+                Box(lower=np.array(lower), upper=np.array(upper))
+        assert region_membership(Box(lower=np.array([-np.inf]), upper=np.array([np.inf])), [0.0])
+
     def test_dim(self):
         assert Box.orthant(7).dim == 7
 
@@ -132,6 +148,15 @@ class TestIntervalUnion:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             IntervalUnion(intervals=((1.0, 0.0),))
+
+    def test_nan_end_refused(self):
+        # a nan end used to give a rejection probability of 0.0; +-inf
+        # stays
+        for intervals in (((np.nan, 0.0),), ((0.0, np.nan),), ((0.0, 1.0), (2.0, np.nan))):
+            with pytest.raises(ValueError, match="nan"):
+                IntervalUnion(intervals=intervals)
+        iu = IntervalUnion(intervals=((-np.inf, 0.0), (1.0, np.inf)))
+        np.testing.assert_array_equal(iu.contains([-1e300, 0.5, 1e300]), [True, False, True])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):

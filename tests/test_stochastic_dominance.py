@@ -107,6 +107,21 @@ def test_bad_samples_refused(call):
         call([_GOOD, _GOOD])
 
 
+@pytest.mark.parametrize("call", [
+    lambda ref: ks_pvalue_sd1(_GOOD, ref),
+    lambda ref: iu_beta_pvalue_nonsd1(_GOOD, ref),
+    lambda ref: posterior_prob_sd1(_GOOD, ref, SdConfig(draws=10)),
+], ids=["ks", "iu_beta", "posterior"])
+def test_bad_reference_values_refused(call):
+    # every reference a dominance function reads passes one validator;
+    # a nan reference used to give p = 1.0 (ks), a posterior of 0.0, and
+    # a beta_cdf range error (iu_beta)
+    for ref in (lambda t: t * math.nan, lambda t: np.where(t > 0.5, math.inf, t),
+                lambda t: -math.inf * t, lambda t: 0.5, lambda t: t[:-1]):
+        with pytest.raises(ValueError, match="reference CDF"):
+            call(ref)
+
+
 class TestFixedDesign:
     def test_small_case_values(self):
         x, y = fixed_design_sample(4, 0.5)
@@ -354,8 +369,8 @@ class TestLazyWeights:
             return np.select([t == xs[99], t == xs[279]], [b1, b2], 1.0)
 
         draws = 20_000
-        count = sd._dominated_count(xs, ref, None, RUBIN, draws, 0.0,
-                                    *sd._substreams(np.random.default_rng(24), 2))
+        count = sd._walk_setup(xs, ref, None, RUBIN, 0.0)(
+            draws, *sd._substreams(np.random.default_rng(24), 2))
         exact = integrate.quad(lambda u: stats.beta.pdf(u, 100, 200)
                                * stats.beta.cdf((b2 - u) / (1 - u), 180, 20), 0.0, b1)[0]
         assert abs(count / draws - exact) < 4 * math.sqrt(exact * (1 - exact) / draws)
@@ -473,8 +488,8 @@ class TestPosteriorBlocks:
         ref, ys = sd._as_opponent(opponent)
         out = posterior_prob_sd1(x, opponent, SdConfig(draws=draws),
                                  np.random.default_rng(30))
-        count = sd._dominated_count(x, ref, ys, BANKS, draws, 0.0,
-                                    *sd._substreams(np.random.default_rng(30), 2))
+        count = sd._walk_setup(x, ref, ys, BANKS, 0.0)(
+            draws, *sd._substreams(np.random.default_rng(30), 2))
         assert out.estimate == count / draws
 
     @pytest.mark.parametrize("two_sample", [False, True])
@@ -490,9 +505,8 @@ class TestPosteriorBlocks:
         seqs = np.random.default_rng(31).bit_generator.seed_seq.spawn(2)
         children = [seq.spawn(2) for seq in seqs]
         streams = [seqs] + [[kids[b] for kids in children] for b in range(2)]
-        count = sum(sd._dominated_count(x, ref, ys, BANKS, draws, 0.0,
-                                        *[np.random.Generator(np.random.PCG64(seq))
-                                          for seq in pair])
+        walk = sd._walk_setup(x, ref, ys, BANKS, 0.0)
+        count = sum(walk(draws, *[np.random.Generator(np.random.PCG64(seq)) for seq in pair])
                     for draws, pair in zip((500, 500, 1), streams))
         assert out.estimate * 1001 == count
         assert 0 < count < 1001
@@ -590,15 +604,11 @@ class TestPosteriorProbSd1:
     def _estimates_over_chunk_cols(monkeypatch, x, opponent, draws):
         # a sample's next weight chunk is drawn at the first column that
         # reads it, whatever the walk's step, so the step does not decide
-        # which weights a draw reads; a step of 1 element per alive row is
-        # one column, and 10 ** 4 columns of 10 ** 9 elements walk from
-        # one weight chunk to the next
+        # which weights a draw reads; 10 ** 4 columns walk from one weight
+        # chunk to the next
         out = set()
-        for cols, elems in ((1, sd._STEP_ELEMS), (3, sd._STEP_ELEMS),
-                            (sd._CHUNK_COLS, sd._STEP_ELEMS), (sd._CHUNK_COLS, 1),
-                            (10 ** 4, 10 ** 9)):
+        for cols in (1, 3, sd._CHUNK_COLS, 10 ** 4):
             monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
-            monkeypatch.setattr(sd, "_STEP_ELEMS", elems)
             out.add(posterior_prob_sd1(x, opponent, cfg=SdConfig(draws=draws),
                                        rng=np.random.default_rng(9)).estimate)
         return out
@@ -757,8 +767,8 @@ class TestZeroPosteriorScreen:
         for seed in range(50):
             for _, x, opponent, variant, tol in _screened_cases(seed):
                 ref, ys = sd._as_opponent(opponent)
-                count = sd._dominated_count(np.sort(x), ref, ys, variant, 200, tol,
-                                            *sd._substreams(np.random.default_rng(seed), 2))
+                count = sd._walk_setup(np.sort(x), ref, ys, variant, tol)(
+                    200, *sd._substreams(np.random.default_rng(seed), 2))
                 assert count == 0
 
     def test_rules_apply_only_where_exact(self):
@@ -1059,7 +1069,6 @@ class TestPinnedOutputs:
         for cols in ([1, 3, 10_000] if _pinned_draws(name) == 2000 else [10_000])])
     def test_counts_ignore_chunk_width(self, monkeypatch, name, cols):
         monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
-        monkeypatch.setattr(sd, "_STEP_ELEMS", 10 ** 9)
         self.test_posterior_counts(name)
 
     @pytest.mark.parametrize("block", [1, 10 ** 8])
@@ -1067,22 +1076,17 @@ class TestPinnedOutputs:
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         self.test_dd_pvalues()
 
-    @pytest.mark.parametrize("step", [None, 10 ** 9])
     @pytest.mark.parametrize("name", list(SHARED_STREAM_SD1_COUNTS))
-    def test_walk_unchanged_on_a_shared_stream(self, monkeypatch, name, step):
-        # step None keeps the default _STEP_ELEMS, which narrows the n = 300
-        # walks to 8 columns a step; 10 ** 9 gives every step _CHUNK_COLS
-        # columns, and the chunks must still come off the stream in the
-        # same order
-        if step is not None:
-            monkeypatch.setattr(sd, "_STEP_ELEMS", step)
+    def test_walk_unchanged_on_a_shared_stream(self, name):
+        # one walk of all the draws with one generator as both sources:
+        # the chunks must come off the stream in the same order
         x, y = PINNED_SAMPLES[name]
         draws = _pinned_draws(name)
         for (two, variant, tol), want in zip(PINNED_ORDER, SHARED_STREAM_SD1_COUNTS[name]):
             ref, ys = sd._as_opponent(y if two else UNIFORM01)
+            walk = sd._walk_setup(np.sort(x), ref, ys, variant, tol)
             shared = np.random.default_rng(7)
-            assert sd._dominated_count(np.sort(x), ref, ys, variant, draws, tol,
-                                       shared, shared) == want
+            assert (0 if walk is None else walk(draws, shared, shared)) == want
 
 
 # ---------------------------------------------------------------------------
