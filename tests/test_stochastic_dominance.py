@@ -1076,10 +1076,13 @@ class TestPinnedOutputs:
         monkeypatch.setattr(sd, "_DD_BLOCK_ELEMS", block)
         self.test_dd_pvalues()
 
+    @pytest.mark.parametrize("cols", [sd._CHUNK_COLS, 8])
     @pytest.mark.parametrize("name", list(SHARED_STREAM_SD1_COUNTS))
-    def test_walk_unchanged_on_a_shared_stream(self, name):
+    def test_walk_unchanged_on_a_shared_stream(self, monkeypatch, name, cols):
         # one walk of all the draws with one generator as both sources:
-        # the chunks must come off the stream in the same order
+        # the chunks must come off the stream in the same order, at the
+        # default step width and at 8 columns a step
+        monkeypatch.setattr(sd, "_CHUNK_COLS", cols)
         x, y = PINNED_SAMPLES[name]
         draws = _pinned_draws(name)
         for (two, variant, tol), want in zip(PINNED_ORDER, SHARED_STREAM_SD1_COUNTS[name]):
