@@ -81,13 +81,17 @@ def _sorted_sample(sample):
     return np.sort(s)
 
 
-def _reference_values(ref, points):
-    """The reference CDF ``ref`` at ``points`` as floats.  A value that is
-    nan or inf, or not one value per point, is refused: it would give a
-    silent p-value or posterior downstream."""
-    values = np.asarray(ref(points), dtype=float)
-    if values.shape != points.shape or not np.isfinite(values).all():
-        raise ValueError(f"reference CDF {ref!r} must give one finite value per point")
+def _opponent(xs, opponent):
+    """What a test of the sorted sample ``xs`` reads of its opponent: the
+    values of a reference CDF, a function of an array of points, at xs, or
+    else the opponent sample sorted.  Reference values must be CDF values,
+    one per point and each in [0, 1], which refuses nan and inf: anything
+    else would give a silent p-value or posterior downstream."""
+    if not callable(opponent):
+        return _sorted_sample(opponent)
+    values = np.asarray(opponent(xs), dtype=float)
+    if values.shape != xs.shape or not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError(f"reference CDF {opponent!r} must give one value in [0, 1] per point")
     return values
 
 
@@ -300,18 +304,18 @@ def _zero_posterior(xs, fixed_bound, ys, tol):
     return tol == 0 and (xs[0] < ys[0] or xs[-1] < ys[-1])
 
 
-def _walk_setup(xs, ref, ys, variant, tol):
-    """The dominance walk of the sorted sample ``xs`` against the reference
-    CDF function ``ref`` or the sorted opponent sample ``ys`` (see
-    _as_opponent), a function of (draws, rx, ry, floor=0): _walk_count
-    with what every walk over them shares bound in, which is the pooled
-    grid's size, ref + tol on the grid against a reference (None against
-    a sample), each sample's _RowTable, and tol.  None when
-    _zero_posterior screens the posterior out."""
-    if ys is None:
-        grid, fixed_bound = xs, _reference_values(ref, xs) + tol
+def _walk_setup(xs, opponent, variant, tol):
+    """The dominance walk of the sorted sample ``xs`` against ``opponent``,
+    a reference CDF function or a sample (see _opponent), as a function of
+    (draws, rx, ry, floor=0): _walk_count with what every walk over them
+    shares bound in, which is the pooled grid's size, ref + tol on the grid
+    against a reference (None against a sample), each sample's _RowTable,
+    and tol.  None when _zero_posterior screens the posterior out."""
+    other = _opponent(xs, opponent)
+    if callable(opponent):
+        grid, fixed_bound, ys = xs, other + tol, None
     else:
-        grid, fixed_bound = np.sort(np.concatenate([xs, ys])), None
+        grid, fixed_bound, ys = np.sort(np.concatenate([xs, other])), None, other
     if _zero_posterior(xs, fixed_bound, ys, tol):
         return None
     tables = [_row_table(s, variant, grid) for s in (xs, ys) if s is not None]
@@ -375,20 +379,13 @@ def _walk_count(width, fixed_bound, tables, tol, draws, rx, ry, floor=0):
 # Bayesian dominance posterior
 
 
-def _as_opponent(opponent):
-    """(opponent, None) for a reference CDF, a function of an array of
-    points, else (None, the opponent sample sorted)."""
-    if callable(opponent):
-        return opponent, None
-    return None, _sorted_sample(opponent)
-
-
 def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
                        workers=1, *, floor=0) -> McSummary:
     """Posterior probability that X's CDF dominates the opponent.
 
     ``opponent`` is a reference CDF, given as a function that maps an array
-    of points to CDF values (UNIFORM01, say), or a sample.  The event
+    of points to CDF values (UNIFORM01, say), or a sample; a reference's
+    values at the sample must lie in [0, 1] (see _opponent).  The event
     checked per posterior draw is F_X(t) <= opponent(t) + tol at every t in
     the evaluation grid (union of sample points, right-continuous values).
     Against an opponent sample, both CDFs get independent posterior draws
@@ -435,9 +432,7 @@ def posterior_prob_sd1(x_sample, opponent, cfg: SdConfig = SdConfig(), rng=None,
     if rng is None:
         rng = SeedPlan(0).stream(0)
     rx, ry = _substreams(rng, 2)
-    x = _sorted_sample(x_sample)
-    ref, ys = _as_opponent(opponent)
-    walk = _walk_setup(x, ref, ys, cfg.bootstrap, cfg.tol)
+    walk = _walk_setup(_sorted_sample(x_sample), opponent, cfg.bootstrap, cfg.tol)
     count = 0
     if walk is not None:
         sizes = [min(_POSTERIOR_BLOCK, cfg.draws - first)
@@ -462,27 +457,20 @@ def ks_pvalue_sd1(x_sample, opponent) -> float:
     exponential tail formula: one-sample exp(-2 n D+^2), two-sample
     exp(-2 D+^2 nm/(n+m)).
 
-    One-sample use assumes the sample lies in the reference's support,
-    [0, 1] for UNIFORM01 (which reads 0 below it and 1 above it).  The
-    reference values, which must be finite, enter D+ as they are, without
-    the clip into [0, 1] that iu_beta_pvalue_nonsd1 applies; nothing
-    checks the range.
+    A reference's values at the sample must be CDF values, in [0, 1], or
+    the call raises ValueError.  The sample itself may lie anywhere;
+    UNIFORM01 reads 0 below [0, 1] and 1 above it.
     """
     x = _sorted_sample(x_sample)
     n = x.size
-    ref, y = _as_opponent(opponent)
-    if y is None:
-        fx = np.arange(1, n + 1) / n
-        d_plus = float(np.max(fx - _reference_values(ref, x)))
-        scale = n
+    other = _opponent(x, opponent)
+    if callable(opponent):
+        fx, f_other, scale = np.arange(1, n + 1) / n, other, n
     else:
-        m = y.size
-        grid = np.concatenate([x, y])
-        fx = np.searchsorted(x, grid, side="right") / n
-        fy = np.searchsorted(y, grid, side="right") / m
-        d_plus = float(np.max(fx - fy))
-        scale = n * m / (n + m)
-    d_plus = max(d_plus, 0.0)
+        m = other.size
+        cx, cy = _pooled_counts(x, other)
+        fx, f_other, scale = cx / n, cy / m, n * m / (n + m)
+    d_plus = max(float(np.max(fx - f_other)), 0.0)
     return float(min(1.0, math.exp(-2.0 * scale * d_plus * d_plus)))
 
 
@@ -497,13 +485,15 @@ def iu_beta_pvalue_nonsd1(x_sample, f0=UNIFORM01) -> float:
     and the overall p-value is the largest component (reject only if every
     pointwise test rejects).
 
-    The sample is assumed to lie in f0's support, [0, 1] for UNIFORM01.
-    f0's values, which must be finite, are clipped into [0, 1] before the
-    beta tails, unlike in ks_pvalue_sd1; nothing checks the range.
+    f0's values at the sample must be CDF values, in [0, 1], or the call
+    raises ValueError, as it does for a sample in place of f0.  The sample
+    itself may lie anywhere; UNIFORM01 reads 0 below [0, 1] and 1 above it.
     """
+    if not callable(f0):
+        raise ValueError("iu_beta has no two-sample form: f0 must be a reference CDF")
     x = _sorted_sample(x_sample)
     n = x.size
-    u = np.clip(_reference_values(f0, x), 0.0, 1.0)
+    u = _opponent(x, f0)
     k = np.arange(1, n + 1, dtype=float)
     comp = 1.0 - beta_cdf(u, k, n + 1.0 - k)
     return float(np.max(comp))
@@ -518,20 +508,25 @@ def _min_t_terms(fx, fy, n, m):
     return np.where(keep & (se > 0), (fy - fx) / np.where(se > 0, se, 1.0), np.inf)
 
 
+def _pooled_counts(x_sorted, y_sorted):
+    """Each sorted sample's count of points at or below each point of the
+    sorted pooled grid: n and m times the empirical CDFs there."""
+    grid = np.sort(np.concatenate([x_sorted, y_sorted]), kind="mergesort")
+    return tuple(np.searchsorted(s, grid, side="right") for s in (x_sorted, y_sorted))
+
+
 def _interior_min_t(x_sorted, y_sorted):
     """Minimum dominance t-statistic over pooled points with both empirical
-    CDFs strictly inside (0, 1); returns (t_min, argmin point) or
-    (nan, nan) when no such point exists."""
+    CDFs strictly inside (0, 1); returns (t_min, (kx, ky)), the samples'
+    counts at or below the first pooled point that attains it, or
+    (nan, None) when no such point exists."""
     n, m = x_sorted.size, y_sorted.size
-    grid = np.concatenate([x_sorted, y_sorted])
-    grid.sort(kind="mergesort")
-    fx = np.searchsorted(x_sorted, grid, side="right") / n
-    fy = np.searchsorted(y_sorted, grid, side="right") / m
-    t = _min_t_terms(fx, fy, n, m)
+    cx, cy = _pooled_counts(x_sorted, y_sorted)
+    t = _min_t_terms(cx / n, cy / m, n, m)
     j = int(np.argmin(t))
     if t[j] == np.inf:
-        return float("nan"), float("nan")
-    return float(t[j]), float(grid[j])
+        return float("nan"), None
+    return float(t[j]), (int(cx[j]), int(cy[j]))
 
 
 def iu_maxt_pvalue_nonsd1(x_sample, y_sample) -> float:
@@ -659,11 +654,10 @@ def dd_pvalue_nonsd1(x_sample, y_sample, n_boot=999, rng=None, *, alpha=None) ->
     x = _sorted_sample(x_sample)
     y = _sorted_sample(y_sample)
     n, m = x.size, y.size
-    t_obs, z_hat = _interior_min_t(x, y)
+    t_obs, split = _interior_min_t(x, y)
     if not np.isfinite(t_obs) or t_obs <= 0.0:
         return 1.0
-    kx = int(np.searchsorted(x, z_hat, side="right"))
-    ky = int(np.searchsorted(y, z_hat, side="right"))
+    kx, ky = split
     q = (kx + ky) / (n + m)
     limit = None
     if alpha is not None:

@@ -157,30 +157,18 @@ def shares(p: TranslogParams, y, w):
     return p.b + p.B @ lw + p.ayk * ly
 
 
-@dataclass(frozen=True)
-class Hessian3:
-    """Price Hessian of the cost function at one point."""
+def hessian(p: TranslogParams, y, w) -> np.ndarray:
+    """d2 C / dw dw': H_mk = C (b_mk + r_m r_k - 1{m=k} r_k) / (w_m w_k).
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("need a 3x3 matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > 1e-10 * scale:
-            raise ValueError("Hessian must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def hessian(p: TranslogParams, y, w) -> Hessian3:
-    """d2 C / dw dw': H_mk = C (b_mk + r_m r_k - 1{m=k} r_k) / (w_m w_k)."""
+    A read-only 3 x 3 array, exactly symmetric because B is.
+    """
     y, w = _check_point(y, w)
     r = shares(p, y, w)
     cost = math.exp(log_cost(p, y, w))
     core = p.B + np.outer(r, r) - np.diag(r)
-    return Hessian3(matrix=cost * core / np.outer(w, w))
+    m = cost * core / np.outer(w, w)
+    m.setflags(write=False)
+    return m
 
 
 def is_nsd(h, tol=NSD_TOL) -> bool:
@@ -190,7 +178,7 @@ def is_nsd(h, tol=NSD_TOL) -> bool:
     least -tol.  All seven nonempty index subsets are checked; leading
     minors alone are not sufficient for semidefiniteness.
     """
-    m = h.matrix if isinstance(h, Hessian3) else np.asarray(h, dtype=float)
+    m = np.asarray(h, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     d = m.shape[0]

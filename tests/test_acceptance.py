@@ -314,18 +314,18 @@ def test_criterion_8_hessian_correctness():
         p = expand_params(free)
         y = rng.uniform(0.5, 2.0)
         w = rng.uniform(0.5, 2.0, size=3)
-        got = hessian(p, y, w).matrix
+        got = hessian(p, y, w)
         want = fd_cost_hessian(p, y, w)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) / scale < 1e-5
 
         unit = hessian(p, 1.0, np.ones(3))
-        unit_scale = max(1.0, float(np.max(np.abs(unit.matrix))))
-        assert np.max(np.abs(unit.matrix @ np.ones(3))) < 1e-10 * unit_scale
+        unit_scale = max(1.0, float(np.max(np.abs(unit))))
+        assert np.max(np.abs(unit @ np.ones(3))) < 1e-10 * unit_scale
 
     # on the concavity boundary the unit-point Hessian vanishes exactly
     h0 = hessian(boundary_params(), 1.0, np.ones(3))
-    assert np.all(h0.matrix == 0.0)
+    assert np.all(h0 == 0.0)
 
 
 def test_criterion_9_nsd_vs_eigenvalue_oracle():

@@ -115,9 +115,11 @@ def test_bad_samples_refused(call):
 def test_bad_reference_values_refused(call):
     # every reference a dominance function reads passes one validator;
     # a nan reference used to give p = 1.0 (ks), a posterior of 0.0, and
-    # a beta_cdf range error (iu_beta)
+    # a beta_cdf range error (iu_beta), and values above 1 or below 0 gave
+    # a number from each
     for ref in (lambda t: t * math.nan, lambda t: np.where(t > 0.5, math.inf, t),
-                lambda t: -math.inf * t, lambda t: 0.5, lambda t: t[:-1]):
+                lambda t: -math.inf * t, lambda t: 0.5, lambda t: t[:-1],
+                lambda t: t + 0.5, lambda t: t - 0.5):
         with pytest.raises(ValueError, match="reference CDF"):
             call(ref)
 
@@ -369,7 +371,7 @@ class TestLazyWeights:
             return np.select([t == xs[99], t == xs[279]], [b1, b2], 1.0)
 
         draws = 20_000
-        count = sd._walk_setup(xs, ref, None, RUBIN, 0.0)(
+        count = sd._walk_setup(xs, ref, RUBIN, 0.0)(
             draws, *sd._substreams(np.random.default_rng(24), 2))
         exact = integrate.quad(lambda u: stats.beta.pdf(u, 100, 200)
                                * stats.beta.cdf((b2 - u) / (1 - u), 180, 20), 0.0, b1)[0]
@@ -485,10 +487,9 @@ class TestPosteriorBlocks:
     def test_one_block_is_one_walk_on_the_two_substreams(self, two_sample, draws):
         x, y = fixed_design_sample(40, 0.6)
         opponent = y if two_sample else UNIFORM01
-        ref, ys = sd._as_opponent(opponent)
         out = posterior_prob_sd1(x, opponent, SdConfig(draws=draws),
                                  np.random.default_rng(30))
-        count = sd._walk_setup(x, ref, ys, BANKS, 0.0)(
+        count = sd._walk_setup(x, opponent, BANKS, 0.0)(
             draws, *sd._substreams(np.random.default_rng(30), 2))
         assert out.estimate == count / draws
 
@@ -499,13 +500,12 @@ class TestPosteriorBlocks:
         # child of each of those
         x, y = fixed_design_sample(40, 0.6)
         opponent = y if two_sample else UNIFORM01
-        ref, ys = sd._as_opponent(opponent)
         out = posterior_prob_sd1(x, opponent, SdConfig(draws=1001),
                                  np.random.default_rng(31))
         seqs = np.random.default_rng(31).bit_generator.seed_seq.spawn(2)
         children = [seq.spawn(2) for seq in seqs]
         streams = [seqs] + [[kids[b] for kids in children] for b in range(2)]
-        walk = sd._walk_setup(x, ref, ys, BANKS, 0.0)
+        walk = sd._walk_setup(x, opponent, BANKS, 0.0)
         count = sum(walk(draws, *[np.random.Generator(np.random.PCG64(seq)) for seq in pair])
                     for draws, pair in zip((500, 500, 1), streams))
         assert out.estimate * 1001 == count
@@ -766,8 +766,7 @@ class TestZeroPosteriorScreen:
         _screen_off(monkeypatch)
         for seed in range(50):
             for _, x, opponent, variant, tol in _screened_cases(seed):
-                ref, ys = sd._as_opponent(opponent)
-                count = sd._walk_setup(np.sort(x), ref, ys, variant, tol)(
+                count = sd._walk_setup(np.sort(x), opponent, variant, tol)(
                     200, *sd._substreams(np.random.default_rng(seed), 2))
                 assert count == 0
 
@@ -775,10 +774,11 @@ class TestZeroPosteriorScreen:
         # both variants read exactly 1 from the sample max on, so the
         # rules do not depend on the variant
         def screened(x, opponent, tol):
-            ref, ys = sd._as_opponent(opponent)
             xs = np.sort(np.asarray(x, dtype=float))
-            bound = None if ref is None else ref(xs) + tol
-            return sd._zero_posterior(xs, bound, ys, tol)
+            other = sd._opponent(xs, opponent)
+            if callable(opponent):
+                return sd._zero_posterior(xs, other + tol, None, tol)
+            return sd._zero_posterior(xs, None, other, tol)
 
         x_low = [0.2, 0.5, 0.9]
         assert screened(x_low, UNIFORM01, 0.0)
@@ -875,6 +875,11 @@ class TestIuBetaPvalue:
     def test_fixed_design_reference_value(self):
         x, _ = fixed_design_sample(100, 0.0)
         assert iu_beta_pvalue_nonsd1(x) == pytest.approx(0.630, abs=5e-4)
+
+    def test_sample_opponent_refused(self):
+        # a sample in f0's place used to raise TypeError from calling it
+        with pytest.raises(ValueError, match="no two-sample form"):
+            iu_beta_pvalue_nonsd1(_GOOD, [0.2, 0.5, 0.8])
 
     def test_sample_above_one_contributes_zero(self):
         # f0 saturates at 1 there, so that order statistic cannot block
@@ -1086,8 +1091,7 @@ class TestPinnedOutputs:
         x, y = PINNED_SAMPLES[name]
         draws = _pinned_draws(name)
         for (two, variant, tol), want in zip(PINNED_ORDER, SHARED_STREAM_SD1_COUNTS[name]):
-            ref, ys = sd._as_opponent(y if two else UNIFORM01)
-            walk = sd._walk_setup(np.sort(x), ref, ys, variant, tol)
+            walk = sd._walk_setup(np.sort(x), y if two else UNIFORM01, variant, tol)
             shared = np.random.default_rng(7)
             assert (0 if walk is None else walk(draws, shared, shared)) == want
 

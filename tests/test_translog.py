@@ -21,7 +21,6 @@ from ineqtest.translog import (
     _MAX_REDRAWS,
     NSD_TOL,
     FreeParams,
-    Hessian3,
     RankDeficientError,
     TranslogData,
     TranslogDgp,
@@ -186,14 +185,14 @@ class TestShares:
 class TestHessian:
     def test_boundary_params_give_bitwise_zero(self):
         h = hessian(boundary_params(), 1.0, UNIT_W)
-        assert np.all(h.matrix == 0.0)
+        assert np.all(h == 0.0)
 
     def test_expanded_boundary_params_round_off(self):
         # b3 = 1 - 1/3 - 1/3 lands one ulp above fl(1/3), so the expanded
         # route cannot cancel exactly; the residual stays below 3e-16.
         p = expand_params(default_free_params(0.0))
         h = hessian(p, 1.0, UNIT_W)
-        resid = float(np.max(np.abs(h.matrix)))
+        resid = float(np.max(np.abs(h)))
         assert 0.0 < resid <= 3e-16
 
     def test_slack_shifts_diagonal(self):
@@ -201,9 +200,9 @@ class TestHessian:
         # 2*delta of curvature on the third input's diagonal entry
         p = expand_params(default_free_params(0.001))
         h = hessian(p, 1.0, UNIT_W)
-        assert h.matrix[0, 0] == pytest.approx(-math.e * 0.001, rel=1e-10)
-        assert h.matrix[1, 1] == pytest.approx(-math.e * 0.001, rel=1e-10)
-        assert h.matrix[2, 2] == pytest.approx(-2 * math.e * 0.001, rel=1e-10)
+        assert h[0, 0] == pytest.approx(-math.e * 0.001, rel=1e-10)
+        assert h[1, 1] == pytest.approx(-math.e * 0.001, rel=1e-10)
+        assert h[2, 2] == pytest.approx(-2 * math.e * 0.001, rel=1e-10)
 
     def test_euler_identity(self):
         p = expand_params(FreeParams(a0=0.3, ay=0.9, ayy=0.05, ay1=0.01,
@@ -211,24 +210,26 @@ class TestHessian:
                                      b12=-0.03, b22=0.08))
         for w in (UNIT_W, np.array([1.4, 0.6, 2.2])):
             h = hessian(p, 1.7, w)
-            scale = max(1.0, float(np.max(np.abs(h.matrix))))
-            assert np.max(np.abs(h.matrix @ w)) < 1e-10 * scale
+            scale = max(1.0, float(np.max(np.abs(h))))
+            assert np.max(np.abs(h @ w)) < 1e-10 * scale
 
     def test_matches_finite_difference_oracle(self):
         p = expand_params(default_free_params(0.001))
         for y, w in ((1.0, UNIT_W), (2.5, np.array([0.7, 1.3, 1.9]))):
-            got = hessian(p, y, w).matrix
+            got = hessian(p, y, w)
             want = fd_cost_hessian(p, y, np.asarray(w, dtype=float))
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) / scale < 1e-5
 
-    def test_hessian3_validation(self):
+    def test_hessian_is_read_only_symmetric_3x3(self):
+        p = expand_params(FreeParams(a0=0.3, ay=0.9, ayy=0.05, ay1=0.01,
+                                     ay2=0.02, b1=0.45, b2=0.25, b11=0.12,
+                                     b12=-0.03, b22=0.08))
+        h = hessian(p, 1.7, np.array([1.4, 0.6, 2.2]))
+        assert isinstance(h, np.ndarray) and h.shape == (3, 3)
+        assert np.array_equal(h, h.T)
         with pytest.raises(ValueError):
-            Hessian3(matrix=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            Hessian3(matrix=np.array([[0.0, 1.0, 0.0],
-                                      [0.0, 0.0, 0.0],
-                                      [0.0, 0.0, 0.0]]))
+            h[0, 1] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ class TestIsNsd:
         trap = np.array([[0.0, 0.0], [0.0, 1.0]])
         assert not is_nsd(trap)
 
-    def test_accepts_hessian3(self):
+    def test_accepts_hessian(self):
         h = hessian(expand_params(default_free_params(0.001)), 1.0, UNIT_W)
         assert is_nsd(h)
 
